@@ -3,11 +3,14 @@ package main
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"strings"
 	"sync"
 	"testing"
 
+	"dnscde/internal/dnswire"
 	"dnscde/internal/loadbal"
+	"dnscde/internal/netsim"
 	"dnscde/internal/platform"
 	"dnscde/internal/simtest"
 	"dnscde/internal/udpnet"
@@ -34,9 +37,16 @@ func TestUDPEndToEndEnumeration(t *testing.T) {
 	w.Infra.Parent.EnableControlZone("ctl.cache.example.")
 
 	// Expose the platform (resolver) and the CDE parent nameserver on
-	// loopback UDP. The platform's upstream path stays in-process, but
-	// the prober's packets and the control readout travel over sockets.
-	resolverSrv := udpnet.NewServer(plat)
+	// loopback UDP. The resolver socket relays each query into the
+	// simulated network, to the platform's ingress: the platform's
+	// pipeline and upstream path stay in-process, but the prober's
+	// packets and the control readout travel over sockets.
+	ingress := plat.Config().IngressIPs[0]
+	resolverSrv := udpnet.NewServer(netsim.HandlerFunc(
+		func(ctx context.Context, src netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+			resp, _, err := w.Net.Bind(src).Exchange(ctx, q, ingress)
+			return resp, err
+		}))
 	resolverAddr, err := resolverSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback UDP unavailable: %v", err)

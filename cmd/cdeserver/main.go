@@ -85,7 +85,7 @@ func run(args []string, clk clock.Clock, stdout, stderr io.Writer) int {
 		mAddr    = fs.String("metrics", "", "HTTP address exporting the accounting snapshot as JSON (e.g. 127.0.0.1:9153); empty disables")
 		apiAddr  = fs.String("api", "", "HTTP address for the campaign control plane (e.g. 127.0.0.1:8080); empty disables")
 		results  = fs.String("results", "", "directory for campaign JSONL result files (default: a fresh temp dir)")
-		shards   = fs.Int("shards", 0, "event-loop shards per campaign run world (0 = auto); results are identical at any value")
+		shards   = fs.Int("shards", 1, "event-loop lanes per campaign run world; values below 1 mean one lane; results are identical at any value")
 		workers  = fs.Int("workers", 0, "trial workers per campaign run (0 = GOMAXPROCS)")
 		drain    = fs.Duration("drain", 10*time.Second, "campaign drain budget on shutdown before in-flight runs are cancelled")
 	)

@@ -25,8 +25,8 @@ type Options struct {
 	// <= 0 uses GOMAXPROCS.
 	Workers int
 	// Shards is the event-loop lane count each run's world is built with
-	// (scenario.RunOptions.Shards); results are byte-identical at any
-	// value.
+	// (scenario.RunOptions.Shards); values below 1 mean one lane. Results
+	// are byte-identical at any value.
 	Shards int
 	// Dir is where campaign JSONL result files live; empty creates a
 	// fresh temporary directory.

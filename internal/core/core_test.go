@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"net/netip"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -359,35 +360,58 @@ func TestDiscoverEgress(t *testing.T) {
 }
 
 func TestInitValidateCoversAllCaches(t *testing.T) {
-	w := newTestWorld(t)
-	const n = 4
-	plat := w.newPlatform(t, platformOpts{caches: n, selector: loadbal.NewRandom(2)})
-	res, err := InitValidate(context.Background(), w.directProber(plat), w.infra,
-		InitValidateOptions{N: 6 * n})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ n, N int }{{4, 24}} {
+		w := newTestWorld(t)
+		plat := w.newPlatform(t, platformOpts{caches: tc.n, selector: loadbal.NewRandom(2)})
+		res, err := InitValidate(context.Background(), w.directProber(plat), w.infra,
+			InitValidateOptions{N: tc.N})
+		if err != nil {
+			t.Fatalf("n=%d N=%d: %v", tc.n, tc.N, err)
+		}
+		if res.Caches != tc.n {
+			t.Errorf("n=%d N=%d: measured %d caches, want %d", tc.n, tc.N, res.Caches, tc.n)
+		}
+		if res.InitArrivals < 1 || res.InitArrivals > tc.n {
+			t.Errorf("n=%d N=%d: init arrivals = %d", tc.n, tc.N, res.InitArrivals)
+		}
+		if res.ValidateHits < res.N-tc.n {
+			t.Errorf("n=%d N=%d: validate hits = %d of N=%d", tc.n, tc.N, res.ValidateHits, res.N)
+		}
 	}
-	if res.Caches != n {
-		t.Errorf("measured %d caches, want %d", res.Caches, n)
+}
+
+// inFlightProber records the largest number of probes outstanding at once.
+type inFlightProber struct {
+	Prober
+	cur, peak atomic.Int32
+}
+
+func (p *inFlightProber) Probe(ctx context.Context, name string, qtype dnswire.Type) (ProbeResult, error) {
+	n := p.cur.Add(1)
+	defer p.cur.Add(-1)
+	for {
+		peak := p.peak.Load()
+		if n <= peak || p.peak.CompareAndSwap(peak, n) {
+			break
+		}
 	}
-	if res.InitArrivals < 1 || res.InitArrivals > n {
-		t.Errorf("init arrivals = %d", res.InitArrivals)
-	}
-	if res.ValidateHits < res.N-n {
-		t.Errorf("validate hits = %d of N=%d", res.ValidateHits, res.N)
-	}
+	return p.Prober.Probe(ctx, name, qtype)
 }
 
 func TestInitValidateConcurrencyBounded(t *testing.T) {
 	w := newTestWorld(t)
 	plat := w.newPlatform(t, platformOpts{caches: 2, selector: loadbal.NewRandom(2)})
-	res, err := InitValidate(context.Background(), w.directProber(plat), w.infra,
-		InitValidateOptions{N: 8, Concurrency: 2})
+	p := &inFlightProber{Prober: w.directProber(plat)}
+	res, err := InitValidate(context.Background(), p, w.infra, InitValidateOptions{N: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Caches != 2 {
 		t.Errorf("measured %d caches", res.Caches)
+	}
+	// Probes go out in rapid succession: never more than one in flight.
+	if peak := p.peak.Load(); peak != 1 {
+		t.Errorf("peak in-flight probes = %d, want 1", peak)
 	}
 }
 

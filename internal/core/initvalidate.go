@@ -2,16 +2,15 @@ package core
 
 import (
 	"context"
-	"sync"
 
 	"dnscde/internal/dnswire"
 )
 
 // This file implements the §V-B two-phase measurement protocol used in
 // the paper's Internet study: an *init* phase that sends N seed queries
-// in parallel (planting a honey record in the caches they hit) and a
-// *validate* phase that re-requests the seeded record N times and checks
-// for its presence.
+// "in parallel or in rapid succession" (planting a honey record in the
+// caches they hit) and a *validate* phase that re-requests the seeded
+// record N times and checks for its presence.
 //
 // With uniform cache selection the init phase covers a cache with
 // probability 1-exp(-N/n); the validate phase confirms coverage and picks
@@ -26,17 +25,11 @@ type InitValidateOptions struct {
 	// exp(-2) ≈ 13.5% of caches in init and virtually none after
 	// validate). Zero defaults to 16.
 	N int
-	// Concurrency is the number of in-flight probes per phase ("in
-	// parallel or in rapid succession"); zero defaults to N.
-	Concurrency int
 }
 
 func (o InitValidateOptions) withDefaults() InitValidateOptions {
 	if o.N == 0 {
 		o.N = 16
-	}
-	if o.Concurrency == 0 || o.Concurrency > o.N {
-		o.Concurrency = o.N
 	}
 	return o
 }
@@ -59,6 +52,14 @@ type InitValidateResult struct {
 }
 
 // InitValidate runs the two-phase protocol against the platform behind p.
+//
+// Each phase sends its N probes in rapid succession from the caller, one
+// after another. A cache is therefore counted once no matter how many
+// seeds reach it: the first seed misses and plants the record, later
+// seeds hit it. That is the count the paper's coverage analysis
+// (1-exp(-N/n)) assumes, and the count parallel seeds give against a
+// resolver that coalesces identical outstanding misses, as Unbound and
+// BIND do. The outcome is a function of the world's seed alone.
 func InitValidate(ctx context.Context, p Prober, in *Infra, opts InitValidateOptions) (InitValidateResult, error) {
 	opts = opts.withDefaults()
 	session, err := in.NewFlatSession()
@@ -67,14 +68,14 @@ func InitValidate(ctx context.Context, p Prober, in *Infra, opts InitValidateOpt
 	}
 	result := InitValidateResult{N: opts.N}
 
-	// Init phase: N seed probes in parallel.
+	// Init phase: N seed probes.
 	in.mInitSeeds.Add(int64(opts.N))
-	result.ProbeErrors += probeBurst(ctx, p, in, session.Honey, opts.N, opts.Concurrency)
+	result.ProbeErrors += probeBurst(ctx, p, in, session.Honey, opts.N)
 	result.InitArrivals = session.ObservedCaches()
 
-	// Validate phase: N presence checks in parallel.
+	// Validate phase: N presence checks.
 	in.mValidateSeeds.Add(int64(opts.N))
-	result.ProbeErrors += probeBurst(ctx, p, in, session.Honey, opts.N, opts.Concurrency)
+	result.ProbeErrors += probeBurst(ctx, p, in, session.Honey, opts.N)
 	total := session.ObservedCaches()
 	result.ValidateArrivals = total - result.InitArrivals
 	result.Caches = total
@@ -86,29 +87,17 @@ func InitValidate(ctx context.Context, p Prober, in *Infra, opts InitValidateOpt
 	return result, nil
 }
 
-// probeBurst sends n probes for name with the given concurrency and
-// returns the number of failed probes. Each probe is charged to the
-// infrastructure's cost accounting.
-func probeBurst(ctx context.Context, p Prober, in *Infra, name string, n, concurrency int) int {
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, concurrency)
-	var mu sync.Mutex
+// probeBurst sends n probes for name in rapid succession and returns the
+// number of failed probes. Each probe is charged to the infrastructure's
+// cost accounting.
+func probeBurst(ctx context.Context, p Prober, in *Infra, name string, n int) int {
 	failures := 0
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			_, err := p.Probe(ctx, name, dnswire.TypeA)
-			in.countProbe(err, false)
-			if err != nil {
-				mu.Lock()
-				failures++
-				mu.Unlock()
-			}
-		}()
+		_, err := p.Probe(ctx, name, dnswire.TypeA)
+		in.countProbe(err, false)
+		if err != nil {
+			failures++
+		}
 	}
-	wg.Wait()
 	return failures
 }

@@ -54,13 +54,13 @@ func TestWorkersInvariance(t *testing.T) {
 // TestShardInvariance is the determinism regression test for the sharded
 // scheduler: the experiments that run their worlds on it (faults and cost
 // through RunSequenced, scale natively) must render byte-identical
-// reports on the legacy single scheduler (shards=0) and on sharded
-// universes at every lane count, at any worker count. Source streams are
-// partitioned over lanes by address key and the workloads are causal
-// chains, so no draw can reorder (DESIGN.md §12).
+// reports at every lane count and worker count, compared against one
+// lane at one worker. Source streams are partitioned over lanes by
+// address key and the workloads are causal chains, so no draw can
+// reorder (DESIGN.md §12).
 func TestShardInvariance(t *testing.T) {
 	grid := []struct{ workers, shards int }{
-		{1, 1}, {8, 2}, {1, 8}, {8, 8},
+		{8, 1}, {8, 2}, {1, 8}, {8, 8},
 	}
 	if testing.Short() {
 		grid = []struct{ workers, shards int }{{8, 2}, {1, 8}}
@@ -83,11 +83,11 @@ func TestShardInvariance(t *testing.T) {
 				}
 				return report.Render()
 			}
-			legacy := render(1, 0)
+			base := render(1, 1)
 			for _, g := range grid {
-				if got := render(g.workers, g.shards); got != legacy {
-					t.Errorf("report differs between shards=0 and workers=%d shards=%d:\n--- legacy ---\n%s\n--- sharded ---\n%s",
-						g.workers, g.shards, legacy, got)
+				if got := render(g.workers, g.shards); got != base {
+					t.Errorf("report differs between workers=1 shards=1 and workers=%d shards=%d:\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",
+						g.workers, g.shards, base, g.shards, got)
 				}
 			}
 		})

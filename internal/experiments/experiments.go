@@ -48,10 +48,9 @@ type Config struct {
 	// into every platform link an experiment builds — cdebench's -faults
 	// flag. Nil leaves all links clean.
 	Faults *netsim.FaultProfile
-	// Shards, when >= 1, runs every world an experiment builds on a
-	// sharded discrete-event scheduler with that many event-loop lanes
-	// (simtest.Options.Shards); 0 keeps the legacy single-scheduler path.
-	// Like Workers, it tunes execution, not results: reports are
+	// Shards is the number of event-loop lanes every world an experiment
+	// builds runs on (simtest.Options.Shards); values below 1 mean one
+	// lane. Like Workers, it tunes execution, not results: reports are
 	// byte-identical at any shard count (DESIGN.md §12).
 	Shards int
 }

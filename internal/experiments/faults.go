@@ -80,10 +80,9 @@ func Faults(ctx context.Context, cfg Config) (*Report, error) {
 				}
 				ingress := plat.Config().IngressIPs[0]
 
-				// Both arms run under RunSequenced: on a sharded world
-				// (cfg.Shards >= 1) the probes ride the event-loop lanes, on
-				// a legacy world the closure runs inline — byte-identical
-				// results either way (DESIGN.md §12).
+				// Both arms run under RunSequenced, so the probes ride
+				// the world's event-loop lanes — byte-identical results at
+				// any shard count (DESIGN.md §12).
 				var raw, comp core.EnumResult
 				est := &core.LossEstimator{}
 				err = w.RunSequenced(ctx, func(ctx context.Context) error {

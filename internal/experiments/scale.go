@@ -63,16 +63,16 @@ func (t *scaleTally) note(_ *dnswire.Message, rtt time.Duration, err error) {
 // millisecond later, so launches overlap in-flight round trips and the
 // scheduler carries tens of thousands of concurrent chains at any moment.
 //
-// On a sharded world one generator runs per lane, all walking the same
-// global wave schedule; each launches only the clients whose source
-// connection partitions to its lane (laneOf), so a client starts at the
-// same simulated instant at any shard count and every draw its source
-// stream makes stays on one event loop.
+// One generator runs per lane, all walking the same global wave schedule;
+// each launches only the clients whose source connection partitions to
+// its lane (laneOf), so a client starts at the same simulated instant at
+// any shard count and every draw its source stream makes stays on one
+// event loop.
 type scaleGen struct {
 	ctx        context.Context
 	sched      *des.Scheduler
-	lane       int     // this generator's lane; -1 launches every client
-	laneOf     []int32 // lane per conns index; nil when lane < 0
+	lane       int     // this generator's lane
+	laneOf     []int32 // lane per conns index
 	conns      []*netsim.Conn
 	query      *dnswire.Message
 	picks      []int32
@@ -93,7 +93,7 @@ func (g *scaleGen) Fire(now des.Time, op uint8) {
 	}
 	for ; g.next < end; g.next++ {
 		ci := g.next % len(g.conns)
-		if g.lane >= 0 && g.laneOf[ci] != int32(g.lane) {
+		if g.laneOf[ci] != int32(g.lane) {
 			continue
 		}
 		g.conns[ci].ExchangeEvent(g.ctx, g.sched, g.query, g.cacheAddrs[g.picks[g.next]], g.done)
@@ -105,13 +105,13 @@ func (g *scaleGen) Fire(now des.Time, op uint8) {
 
 // Scale is the DES throughput sweep: ScaleClients stub clients (default
 // 1M) multiplex on the discrete-event scheduler against ScaleCaches
-// simulated caches (default 10K), 1% of which respond late. With
-// cfg.Shards >= 1 the same workload runs as per-lane populations on the
-// sharded scheduler — the multi-core configuration bench-shard.json
-// tracks — and the report is byte-identical at any shard count. The
-// report asserts the PR 7 accounting fixes at population scale — exactly
-// one sent and one received packet per exchange, and late exchanges
-// charged the bare timeout — plus completeness and load spread.
+// simulated caches (default 10K), 1% of which respond late. The workload
+// runs as per-lane populations on the world's cfg.Shards lanes — the
+// multi-core configuration bench-shard.json tracks — and the report is
+// byte-identical at any shard count. The report asserts the exchange
+// accounting at population scale — exactly one sent and one received
+// packet per exchange, and late exchanges charged the bare timeout — plus
+// completeness and load spread.
 // Wall-clock evidence lives in cdebench's wall_ms field (bench-scale.json
 // and bench-shard.json in CI); the driver itself never reads a wall
 // clock.
@@ -184,46 +184,35 @@ func Scale(ctx context.Context, cfg Config) (*Report, error) {
 		events   uint64
 		genFires uint64
 	)
-	if ss := w.Sharded; ss != nil {
-		// One generator and one tally per lane: each source connection's
-		// exchanges launch, draw and settle on its partition lane.
-		laneOf := make([]int32, len(conns))
-		for i, c := range conns {
-			laneOf[i] = int32(ss.LaneFor(c.LaneKey()))
-		}
-		gens := make([]*scaleGen, ss.Lanes())
-		tallies := make([]scaleTally, ss.Lanes())
-		for l := range gens {
-			gens[l] = &scaleGen{
-				ctx: ctx, sched: ss.LaneScheduler(l), lane: l, laneOf: laneOf,
-				conns: conns, query: query, picks: picks, cacheAddrs: cacheAddrs,
-				done: tallies[l].note,
-			}
-			ss.LaneScheduler(l).ScheduleAt(0, gens[l], 0)
-		}
-		if err := ss.Run(); err != nil {
-			return nil, fmt.Errorf("scale: sharded run: %w", err)
-		}
-		events = ss.Dispatched()
-		for l := range gens {
-			genFires += gens[l].fires
-			tally.completed += tallies[l].completed
-			tally.failed += tallies[l].failed
-			tally.failedRTT += tallies[l].failedRTT
-			if tally.badErr == nil {
-				tally.badErr = tallies[l].badErr
-			}
-		}
-	} else {
-		sched := w.Sched
-		gen := &scaleGen{
-			ctx: ctx, sched: sched, lane: -1,
+	// One generator and one tally per lane: each source connection's
+	// exchanges launch, draw and settle on its partition lane.
+	ss := w.Sharded
+	laneOf := make([]int32, len(conns))
+	for i, c := range conns {
+		laneOf[i] = int32(ss.LaneFor(c.LaneKey()))
+	}
+	gens := make([]*scaleGen, ss.Lanes())
+	tallies := make([]scaleTally, ss.Lanes())
+	for l := range gens {
+		gens[l] = &scaleGen{
+			ctx: ctx, sched: ss.LaneScheduler(l), lane: l, laneOf: laneOf,
 			conns: conns, query: query, picks: picks, cacheAddrs: cacheAddrs,
-			done: tally.note,
+			done: tallies[l].note,
 		}
-		sched.Schedule(0, gen, 0)
-		events = sched.Run()
-		genFires = gen.fires
+		ss.LaneScheduler(l).ScheduleAt(0, gens[l], 0)
+	}
+	if err := ss.Run(); err != nil {
+		return nil, fmt.Errorf("scale: sharded run: %w", err)
+	}
+	events = ss.Dispatched()
+	for l := range gens {
+		genFires += gens[l].fires
+		tally.completed += tallies[l].completed
+		tally.failed += tallies[l].failed
+		tally.failedRTT += tallies[l].failedRTT
+		if tally.badErr == nil {
+			tally.badErr = tallies[l].badErr
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -246,12 +235,7 @@ func Scale(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	meanLoad := float64(sumLoad) / float64(caches)
 
-	var makespan time.Duration
-	if w.Sharded != nil {
-		makespan = w.Sharded.Now().Duration()
-	} else {
-		makespan = w.Sched.Now().Duration()
-	}
+	makespan := ss.Now().Duration()
 
 	table := &stats.Table{Header: []string{"Metric", "Value"}}
 	table.AddRow("stub clients", fmt.Sprintf("%d", clients))

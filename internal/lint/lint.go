@@ -16,6 +16,8 @@
 //     the wall clock, even through module-internal helpers
 //   - errflow:    errors crossing package boundaries wrap with %w, and
 //     wire/IO paths never discard error returns
+//   - simgo:      the simulation packages start no goroutines outside the
+//     annotated scheduler boundaries
 //
 // The engine is deliberately stdlib-only (go/ast, go/parser, go/types,
 // go/importer): the repository has no module dependencies and the linter
@@ -616,7 +618,7 @@ func (t *Tree) Run(analyzers []*Analyzer) []Diagnostic {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Walltime, Detrand, Ctxflow, Mutexcopy, Goleak, Wiresafe,
-		Hotalloc, Exhaustive, Simtime, Errflow,
+		Hotalloc, Exhaustive, Simtime, Errflow, Simgo,
 	}
 }
 

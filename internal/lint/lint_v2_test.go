@@ -446,6 +446,63 @@ func Record() int64 { return util.Stamp() }
 	}
 }
 
+func TestSimgo(t *testing.T) {
+	cases := []struct {
+		name  string
+		files map[string]string
+		want  []string
+	}{
+		{
+			name: "go statement in a simulation package is flagged",
+			files: map[string]string{"internal/platform/p.go": `package platform
+
+func Resolve(done chan struct{}) {
+	go func() { close(done) }()
+}
+`},
+			want: []string{"[simgo] go statement in a simulation package"},
+		},
+		{
+			name: "method goroutine in a nested simulation package is flagged",
+			files: map[string]string{"internal/netsim/des/d.go": `package des
+
+type lane struct{}
+
+func (l *lane) loop() {}
+
+func Start(l *lane) { go l.loop() }
+`},
+			want: []string{"[simgo] go statement in a simulation package"},
+		},
+		{
+			name: "goroutines outside the simulation packages are fine",
+			files: map[string]string{"internal/campaign/c.go": `package campaign
+
+func Start(done chan struct{}) {
+	go func() { close(done) }()
+}
+`},
+			want: nil,
+		},
+		{
+			name: "a reasoned allow marks a sanctioned boundary",
+			files: map[string]string{"internal/simtest/s.go": `package simtest
+
+func Drive(done chan struct{}) {
+	//cdelint:allow simgo the driver parks between scheduler rounds
+	go func() { close(done) }()
+}
+`},
+			want: nil,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantDiags(t, analyze(t, tc.files, []*Analyzer{Simgo}), tc.want...)
+		})
+	}
+}
+
 func TestErrflow(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -631,6 +688,7 @@ func TestAnalyzersComplete(t *testing.T) {
 	want := []string{
 		"walltime", "detrand", "ctxflow", "mutexcopy", "goleak",
 		"wiresafe", "hotalloc", "exhaustive", "simtime", "errflow",
+		"simgo",
 	}
 	all := Analyzers()
 	if len(all) != len(want) {

@@ -174,3 +174,47 @@ func taintChain(taint map[*types.Func]*wallTaint, fn *types.Func) string {
 	}
 	return out
 }
+
+// Simgo keeps goroutines out of the simulation packages. Simulation state
+// changes only inside scheduler-ordered events, so a run is a function of
+// (scenario, seed); a goroutine racing the event loop for a cache or an
+// RNG stream makes the outcome depend on the host's interleaving instead
+// — the class of defect that once let parallel init/validate seeds count
+// a cache twice. The two sanctioned boundaries (the sharded scheduler's
+// lane workers and RunSequenced's process driver) carry a reasoned
+// //cdelint:allow simgo.
+var Simgo = &Analyzer{
+	Name: "simgo",
+	Doc:  "simulation packages (core, platform, netsim, its des core, simtest, scenario, experiments) must not start goroutines",
+	Run:  runSimgo,
+}
+
+// simgoRoots are the packages whose code runs on, or drives, the
+// simulated event loops: simtime's simulation roots plus the probe
+// drivers, the platform pipeline and the world builder. The campaign
+// engine and the snapshot codec run outside the loops and keep their
+// worker goroutines.
+var simgoRoots = map[string]bool{
+	"internal/core":        true,
+	"internal/platform":    true,
+	"internal/netsim":      true,
+	"internal/netsim/des":  true,
+	"internal/simtest":     true,
+	"internal/scenario":    true,
+	"internal/experiments": true,
+}
+
+func runSimgo(p *Pass) {
+	if !simgoRoots[p.Pkg.RelPath] {
+		return
+	}
+	for _, f := range p.Pkg.Files {
+		ast.Inspect(f.AST, func(n ast.Node) bool {
+			if gs, ok := n.(*ast.GoStmt); ok {
+				p.Reportf(gs.Pos(),
+					"go statement in a simulation package; schedule the work as events on the scheduler instead")
+			}
+			return true
+		})
+	}
+}

@@ -7,15 +7,6 @@ package des
 // the clock; the event heap, mailboxes and per-lane sequence counters are
 // all empty/irrelevant at a barrier by construction.
 
-// Quiescent reports whether the scheduler holds no pending events.
-func (s *Scheduler) Quiescent() bool { return len(s.heap) == 0 }
-
-// RestoreClock sets the simulated clock to t without dispatching anything.
-// It is the restore-side counterpart of a checkpoint taken at a quiescent
-// barrier; callers must verify Quiescent first, since moving the clock
-// over pending events would violate the time-ordered dispatch invariant.
-func (s *Scheduler) RestoreClock(t Time) { s.now = t }
-
 // Quiescent reports whether every lane's heap and every cross-lane
 // mailbox is empty — the sharded scheduler's barrier condition. It first
 // waits for any in-flight Run round to drain (a process resumed by one
@@ -39,7 +30,10 @@ func (ss *ShardedScheduler) Quiescent() bool {
 }
 
 // RestoreClock sets every lane's clock and the global round timestamp to
-// t. The per-lane sequence counters are deliberately left alone: they
+// t without dispatching anything. It is the restore-side counterpart of a
+// checkpoint taken at a quiescent barrier; callers must verify Quiescent
+// first, since moving the clock over pending events would violate the
+// time-ordered dispatch invariant. The per-lane sequence counters are deliberately left alone: they
 // only break ties among events scheduled into the same lane after the
 // restore, and relative order within a lane is all dispatch depends on.
 // Safe across differing lane counts — the checkpoint carries one barrier

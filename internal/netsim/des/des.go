@@ -104,16 +104,6 @@ func (s *Scheduler) LaneIndex() int {
 	return s.lane.idx
 }
 
-// Sharded returns the ShardedScheduler this scheduler is a lane of, or
-// nil for a standalone scheduler. Callers use it to detect whether the
-// cross-lane machinery (and its process bridge) is available.
-func (s *Scheduler) Sharded() *ShardedScheduler {
-	if s.lane == nil {
-		return nil
-	}
-	return s.lane.ss
-}
-
 // LaneFor maps a partition key (netsim uses the xor-folded source or
 // destination address) to a lane index via the same splitmix64 mix
 // detpar derives its per-index RNG streams from. A standalone scheduler

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 )
 
 // infTime is the sentinel "no pending event" timestamp.
@@ -40,7 +39,6 @@ type injection struct {
 	seq    uint64
 	lane   int
 	op     uint8
-	delay  time.Duration
 	actor  Actor
 }
 
@@ -269,6 +267,7 @@ func (ss *ShardedScheduler) Run() error {
 		for i := range ss.cmds {
 			ss.cmds[i] = make(chan laneCmd, 1)
 			ss.wg.Add(1)
+			//cdelint:allow simgo each lane worker runs only its own lane's events, between coordinator barriers
 			go ss.worker(i, ss.cmds[i])
 		}
 		defer func() {
@@ -292,7 +291,6 @@ func (ss *ShardedScheduler) Run() error {
 		inj := ss.injected
 		ss.injected = ss.injSpare[:0]
 		ss.injSpare = inj
-		procs := ss.procs
 		ss.mu.Unlock()
 
 		if len(inj) > 0 {
@@ -308,7 +306,7 @@ func (ss *ShardedScheduler) Run() error {
 			})
 			for i := range inj {
 				in := &inj[i]
-				ss.lanes[in.lane].ScheduleAt(ss.lastT.Add(in.delay), in.actor, in.op)
+				ss.lanes[in.lane].ScheduleAt(ss.lastT, in.actor, in.op)
 				in.actor = nil
 			}
 		}
@@ -341,7 +339,6 @@ func (ss *ShardedScheduler) Run() error {
 			ss.mu.Unlock()
 			continue
 		}
-		_ = procs
 
 		// Active set: lanes with events to run at T or mail to import.
 		active = active[:0]
@@ -433,21 +430,17 @@ func (ss *ShardedScheduler) abort() {
 	}
 }
 
-// Process is the bridge between blocking, goroutine-shaped code (the
-// scenario probers, the platform's recursive resolver) and the sharded
-// event loops. A process lives on its own goroutine; to perform one
+// Process is the bridge between a blocking, goroutine-shaped sequential
+// workload (simtest.World.RunSequenced's driver) and the sharded event
+// loops. A process lives on its own goroutine; to perform one
 // event-chained operation it injects the chain's first event via Await
 // and parks until some event calls Resume. The coordinator never starts
 // a round while any process is runnable, which makes injection timing —
 // and therefore every downstream draw — deterministic.
 type Process struct {
-	ss  *ShardedScheduler
-	id  uint64
-	seq uint64
-	// delay accumulates simulated processing time (Advance) charged since
-	// the last injection; the next injected event lands that far after
-	// the current round's timestamp.
-	delay    time.Duration
+	ss       *ShardedScheduler
+	id       uint64
+	seq      uint64
 	resume   chan struct{}
 	parked   bool
 	finished bool
@@ -455,7 +448,7 @@ type Process struct {
 }
 
 // NewProcess registers a new process with the universe. The process
-// counts as runnable until its goroutine calls Await, Detach or Finish,
+// counts as runnable until its goroutine calls Await or Finish,
 // so create it before (or on the same lane event as) starting the
 // goroutine that drives it.
 func (ss *ShardedScheduler) NewProcess() *Process {
@@ -469,26 +462,14 @@ func (ss *ShardedScheduler) NewProcess() *Process {
 	return p
 }
 
-// Lanes returns the universe's lane count.
-func (p *Process) Lanes() int { return len(p.ss.lanes) }
-
 // LaneFor maps a partition key to a lane.
 func (p *Process) LaneFor(key uint64) int { return p.ss.LaneFor(key) }
 
 // LaneScheduler returns the scheduler of lane i.
 func (p *Process) LaneScheduler(i int) *Scheduler { return p.ss.lanes[i] }
 
-// Advance charges d of simulated processing time to the process: the
-// next event it injects lands d later than it otherwise would. It is the
-// process-world analogue of netsim.ChargeLatency.
-func (p *Process) Advance(d time.Duration) {
-	if d > 0 {
-		p.delay += d
-	}
-}
-
-// Await injects one event on the given lane (at the current round's
-// timestamp plus any Advance charge) and parks the calling goroutine
+// Await injects one event on the given lane at the current round's
+// timestamp and parks the calling goroutine
 // until an event calls Resume. The injected actor's chain must
 // eventually Resume this process, or the run deadlocks.
 func (p *Process) Await(lane int, a Actor, op uint8) {
@@ -499,8 +480,7 @@ func (p *Process) Await(lane int, a Actor, op uint8) {
 		panic(errAborted)
 	}
 	p.seq++
-	ss.injected = append(ss.injected, injection{procID: p.id, seq: p.seq, lane: lane, op: op, delay: p.delay, actor: a})
-	p.delay = 0
+	ss.injected = append(ss.injected, injection{procID: p.id, seq: p.seq, lane: lane, op: op, actor: a})
 	p.parked = true
 	ss.runnable--
 	ss.cond.Broadcast()
@@ -520,22 +500,6 @@ func (p *Process) Resume() {
 	p.parked = false
 	ss.mu.Unlock()
 	p.resume <- struct{}{}
-}
-
-// Detach injects one final event and finishes the process without
-// parking: the goroutine hands its continuation to the event chain and
-// exits. The platform's recursion uses it to deliver opRespond.
-func (p *Process) Detach(lane int, a Actor, op uint8) {
-	ss := p.ss
-	ss.mu.Lock()
-	p.seq++
-	ss.injected = append(ss.injected, injection{procID: p.id, seq: p.seq, lane: lane, op: op, delay: p.delay, actor: a})
-	p.delay = 0
-	p.finished = true
-	ss.procs--
-	ss.runnable--
-	ss.cond.Broadcast()
-	ss.mu.Unlock()
 }
 
 // Finish retires the process without injecting anything further.

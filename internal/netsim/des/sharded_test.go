@@ -164,38 +164,38 @@ func TestShardedAllToAllRace(t *testing.T) {
 }
 
 // resumer is the lane-side half of a process round trip: it records when
-// it fired and unparks the process.
+// the injected event fires and resumes the process 10ms of simulated time
+// later, from a follow-up event on the same lane.
 type resumer struct {
-	p  *Process
-	at []Time
+	p    *Process
+	lane int
+	at   []Time
 }
 
 func (r *resumer) Fire(now Time, op uint8) {
-	r.at = append(r.at, now)
+	if op == 0 {
+		r.at = append(r.at, now)
+		r.p.LaneScheduler(r.lane).Schedule(10*time.Millisecond, r, 1)
+		return
+	}
 	r.p.Resume()
 }
 
-// sink records dispatches and does nothing else (Detach targets).
-type sink struct{ at []Time }
-
-func (s *sink) Fire(now Time, op uint8) { s.at = append(s.at, now) }
-
-// TestProcessLifecycle drives Await/Resume/Advance/Detach end to end:
-// each Advance(d) must land the next injected event exactly d after the
-// previous round, and Detach must deliver a final event after the
-// goroutine exits.
+// TestProcessLifecycle drives Await/Resume/Finish end to end: each Await
+// must inject its event at the round the previous resume happened in, so
+// a chain that takes 10ms to resume spaces the injections 10ms apart, and
+// Finish must let Run return once the goroutine is done.
 func TestProcessLifecycle(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		ss := NewSharded(shards)
 		p := ss.NewProcess()
 		r := &resumer{p: p}
-		final := &sink{}
 		go func() {
 			for i := 0; i < 3; i++ {
-				p.Await(p.LaneFor(uint64(i)), r, 0)
-				p.Advance(10 * time.Millisecond)
+				r.lane = p.LaneFor(uint64(i))
+				p.Await(r.lane, r, 0)
 			}
-			p.Detach(0, final, 0)
+			p.Finish()
 		}()
 		if err := ss.Run(); err != nil {
 			t.Fatalf("Run(shards=%d): %v", shards, err)
@@ -207,11 +207,11 @@ func TestProcessLifecycle(t *testing.T) {
 		}
 		for i := range wantR {
 			if r.at[i] != wantR[i] {
-				t.Fatalf("shards=%d resume %d at %v, want %v", shards, i, r.at[i], wantR[i])
+				t.Fatalf("shards=%d injection %d fired at %v, want %v", shards, i, r.at[i], wantR[i])
 			}
 		}
-		if len(final.at) != 1 || final.at[0] != ms(30) {
-			t.Fatalf("shards=%d detach fired %v, want [%v]", shards, final.at, ms(30))
+		if got := ss.Now(); got != ms(30) {
+			t.Fatalf("shards=%d run ended at %v, want %v", shards, got, ms(30))
 		}
 	}
 }

@@ -14,28 +14,26 @@ import (
 // handler (or an event it scheduled) calls Respond exactly once, on the
 // scheduler lane the query was delivered on, at the simulated instant
 // the response leaves the server. The elapsed simulated time between
-// delivery and Respond is the exchange's handler time — the event-world
-// equivalent of the latency meter the synchronous path uses.
+// delivery and Respond is the exchange's handler time.
 type Responder interface {
 	Respond(now des.Time, resp *dnswire.Message, err error)
 }
 
-// EventHandler is implemented by handlers that can serve a query as a
-// native event chain instead of blocking inside the delivery event: the
-// handler schedules its stages (cache lookup, upstream recursion,
-// processing delay) on the delivering lane's scheduler and calls
-// r.Respond when the response is ready. On a sharded scheduler the
-// exchange layer prefers this interface, so a deep forwarding chain or
-// resolution recursion interleaves with other traffic on the event loops
-// rather than nesting pooled schedulers; on standalone schedulers the
-// synchronous ServeDNS path is used unchanged.
+// EventHandler serves a query arriving at a simulated host. It is the one
+// handler contract of the simulated network: the handler schedules its
+// stages (cache lookup, upstream recursion, processing delay) on the
+// delivering lane's scheduler and calls r.Respond when the response is
+// ready, so a deep forwarding chain or resolution recursion interleaves
+// with other traffic on the event loop and never blocks it. A handler
+// with no work to wait for answers inline (HandlerFunc does) or after a
+// fixed delay (RespondAfter).
 type EventHandler interface {
 	ServeDNSEvent(ctx context.Context, sched *des.Scheduler, src netip.Addr, query *dnswire.Message, r Responder)
 }
 
-// discardResponder swallows a response — the sink for event-mode
-// duplicate deliveries, whose response is dropped while the handler's
-// side effects (cache fills) persist.
+// discardResponder swallows a response — the sink for duplicate
+// deliveries, whose response is dropped while the handler's side effects
+// (cache fills) persist.
 type discardResponder struct{}
 
 func (discardResponder) Respond(des.Time, *dnswire.Message, error) {}
@@ -64,9 +62,10 @@ func (e *respondEvent) Fire(now des.Time, op uint8) {
 }
 
 // RespondAfter schedules r.Respond(resp, err) on sched after delay of
-// simulated processing time. Handlers whose work is a fixed delay (the
-// authoritative server's per-query processing cost) implement
-// EventHandler with one RespondAfter call.
+// simulated processing time; the delay inflates the client's round trip.
+// Handlers whose work is a fixed delay (the authoritative server's
+// per-query processing cost) implement EventHandler with one RespondAfter
+// call.
 //
 //cdelint:hotpath
 func RespondAfter(sched *des.Scheduler, delay time.Duration, r Responder, resp *dnswire.Message, err error) {

@@ -16,14 +16,15 @@ import (
 // spanning at most two scheduler lanes. opLaunch runs on the source's
 // (home) lane: it packs the query, draws the outbound loss/jitter and
 // either dies to opTimeout or travels to opDeliver. opDeliver runs on the
-// destination's lane: decode, injected faults, the handler (synchronously,
-// or as a native event chain via EventHandler), and response packing; it
-// hops back to the home lane as opReturn, which draws the return path and
-// terminates in opComplete or opTimeout at the exchange's true simulated
-// end time. opFail carries a destination-side error (malformed wire,
-// handler failure) home. The hops use des.Scheduler.SendTo, so on a
-// standalone scheduler they are ordinary same-lane events — the chain
-// dispatches the same number of events in every mode.
+// destination's lane: decode, injected faults and the handler, which
+// serves as an event chain on that lane and answers via Respond; the
+// response is packed there and the chain hops back to the home lane as
+// opReturn, which draws the return path and terminates in opComplete or
+// opTimeout at the exchange's true simulated end time. opFail carries a
+// destination-side error (malformed wire, handler failure) home. The
+// hops use des.Scheduler.SendTo, so on a standalone scheduler they are
+// ordinary same-lane events — the chain dispatches the same number of
+// events in every mode.
 const (
 	opLaunch uint8 = iota
 	opDeliver
@@ -124,9 +125,11 @@ func putExchangeState(st *exchangeState) {
 	exchangeStatePool.Put(st)
 }
 
-// schedPool recycles private schedulers for the blocking Exchange wrapper
-// and for nested exchanges issued by handlers (each nesting level takes
-// its own scheduler, so handler recursion needs no continuation-passing).
+// schedPool recycles the private schedulers the blocking top-level entry
+// points (Exchange, ExchangeRetry outside a process) drive to completion.
+// Handlers never block, so these schedulers never nest: a handler's
+// upstream work runs as further events on the scheduler that delivered
+// its query.
 var schedPool = sync.Pool{New: func() any { return des.NewScheduler() }}
 
 // Fire dispatches one stage of the exchange chain.
@@ -141,10 +144,8 @@ func (st *exchangeState) Fire(now des.Time, op uint8) {
 	case opReturn:
 		st.returnPath()
 	case opComplete:
-		chargeUpstream(st.ctx, st.rtt)
 		st.settle(st.resp, st.rtt, nil)
 	case opTimeout:
-		chargeUpstream(st.ctx, st.rtt)
 		st.settle(nil, st.rtt, ErrTimeout)
 	case opFail:
 		st.settle(nil, st.rtt, st.err)
@@ -286,10 +287,8 @@ func (st *exchangeState) launch(now des.Time) {
 }
 
 // deliver is the server-side stage, on the destination's lane: decode,
-// injected faults, then the handler — as a native event chain when the
-// destination implements EventHandler and the universe is sharded,
-// synchronously otherwise (nested exchanges then take their own pooled
-// scheduler, exactly the legacy behaviour).
+// injected faults, then the handler, which serves the query as an event
+// chain on this lane and completes through Respond.
 //
 //cdelint:hotpath
 func (st *exchangeState) deliver(now des.Time) {
@@ -327,44 +326,13 @@ func (st *exchangeState) deliver(now des.Time) {
 		}
 	}
 
-	// Event-native path: on a sharded universe, a handler that speaks
-	// EventHandler serves the query as its own event chain on this lane
-	// and calls st.Respond when done — recursion interleaves on the loop.
-	if eh, ok := h.handler.(EventHandler); ok && st.dstSched.Sharded() != nil {
-		eh.ServeDNSEvent(st.ctx, st.dstSched, st.c.src, decoded, st)
-		return
-	}
-
-	// Synchronous path: run the handler with a fresh meter so its nested
-	// exchanges are charged to this round trip.
-	meter := getMeter()
-	resp, err := safeServe(h.handler, context.WithValue(st.ctx, latencyMeterKey{}, meter), st.c.src, decoded)
-	if err != nil {
-		meterPool.Put(meter)
-		st.failTo(now, fmt.Errorf("netsim: handler at %v: %w", st.dst, err))
-		return
-	}
-	// Duplicated query delivery: the handler serves the query a second
-	// time and that response is discarded, but its side effects (cache
-	// fills, authoritative arrivals) persist. TCP streams never
-	// duplicate. The duplicate overlaps the original in real time, so
-	// no extra latency is charged.
-	if dstFP != nil && dstFP.DuplicateRate > 0 && !st.c.tcp && lr.roll() < dstFP.DuplicateRate {
-		noteFault(st.ctx, cfg, lr.shard, FaultDuplicate, st.c.src, st.dst)
-		dupMeter := getMeter()
-		//cdelint:allow errflow the duplicate's response and error are discarded by design; only the original is returned
-		_, _ = safeServe(h.handler, context.WithValue(st.ctx, latencyMeterKey{}, dupMeter), st.c.src, decoded)
-		meterPool.Put(dupMeter)
-	}
-	st.handlerTime = meter.total()
-	meterPool.Put(meter)
-	st.finishServe(now, resp)
+	h.handler.ServeDNSEvent(st.ctx, st.dstSched, st.c.src, decoded, st)
 }
 
-// Respond implements Responder: the event-native handler's completion,
-// firing on the destination lane at the simulated instant the response is
-// ready. Handler time is the simulated span since delivery — the event
-// world's replacement for the synchronous path's latency meter.
+// Respond implements Responder: the handler's completion, firing on the
+// destination lane at the simulated instant the response is ready.
+// Handler time is the simulated span since delivery, so processing delay
+// and upstream work inflate the client's round trip.
 //
 //cdelint:hotpath
 func (st *exchangeState) Respond(now des.Time, resp *dnswire.Message, err error) {
@@ -375,15 +343,14 @@ func (st *exchangeState) Respond(now des.Time, resp *dnswire.Message, err error)
 	st.handlerTime = now.Sub(st.deliverAt)
 	cfg, lr, h := st.cfg, st.lr, st.dstHost
 	dstFP := h.profile.Faults
-	// Duplicated delivery, event flavour: serve the query again into a
-	// discarding responder. The duplicate's chain runs after this draw,
-	// so its side effects land slightly later in simulated time; its
-	// response is dropped either way.
+	// Duplicated query delivery: the handler serves the query a second
+	// time into a discarding responder, so its side effects (cache fills,
+	// authoritative arrivals) persist while its response is dropped. TCP
+	// streams never duplicate. The duplicate overlaps the original in real
+	// time, so no extra latency is charged.
 	if dstFP != nil && dstFP.DuplicateRate > 0 && !st.c.tcp && lr.roll() < dstFP.DuplicateRate {
 		noteFault(st.ctx, cfg, lr.shard, FaultDuplicate, st.c.src, st.dst)
-		if eh, ok := h.handler.(EventHandler); ok {
-			eh.ServeDNSEvent(st.ctx, st.dstSched, st.c.src, st.decoded, discardResponder{})
-		}
+		h.handler.ServeDNSEvent(st.ctx, st.dstSched, st.c.src, st.decoded, discardResponder{})
 	}
 	st.finishServe(now, resp)
 }

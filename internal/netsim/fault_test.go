@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dnscde/internal/dnswire"
+	"dnscde/internal/netsim/des"
 	"dnscde/internal/trace"
 )
 
@@ -255,14 +256,20 @@ func TestDuplicateDelivery(t *testing.T) {
 	n.Register(testServer, LinkProfile{Faults: &FaultProfile{DuplicateRate: 1}},
 		HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 			handlerCalls++
-			return dnswire.NewResponse(q), nil
+			resp := dnswire.NewResponse(q)
+			resp.Header.Authoritative = handlerCalls == 1 // marks the first serve's reply
+			return resp, nil
 		}))
 	conn := n.Bind(testClient)
-	if _, _, err := conn.Exchange(context.Background(), dnswire.NewQuery(1, "a.example", dnswire.TypeA), testServer); err != nil {
+	resp, _, err := conn.Exchange(context.Background(), dnswire.NewQuery(1, "a.example", dnswire.TypeA), testServer)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if handlerCalls != 2 {
 		t.Errorf("handler called %d times, want 2 (duplicated delivery)", handlerCalls)
+	}
+	if !resp.Header.Authoritative {
+		t.Error("client got the duplicate's reply; it must be dropped")
 	}
 	// TCP streams never duplicate.
 	handlerCalls = 0
@@ -279,10 +286,9 @@ func TestLateResponseTimesOutButServes(t *testing.T) {
 	n := New(6)
 	n.SetTimeout(time.Second)
 	n.Register(testServer, LinkProfile{Faults: &FaultProfile{LateRate: 1}},
-		HandlerFunc(func(ctx context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		eventFunc(func(_ context.Context, sched *des.Scheduler, _ netip.Addr, q *dnswire.Message, r Responder) {
 			handlerCalls++
-			ChargeLatency(ctx, 30*time.Millisecond)
-			return dnswire.NewResponse(q), nil
+			RespondAfter(sched, 30*time.Millisecond, r, dnswire.NewResponse(q), nil)
 		}))
 	conn := n.Bind(testClient)
 	_, total, err := conn.Exchange(context.Background(), dnswire.NewQuery(1, "a.example", dnswire.TypeA), testServer)

@@ -9,13 +9,15 @@
 // implemented over real UDP sockets by package udpnet, which is how the
 // library doubles as a live measurement tool.
 //
-// Since PR 7 the transmission core is a discrete-event scheduler
-// (internal/netsim/des): each exchange is a chain of events — launch,
-// delivery, completion — on a des.Scheduler, so a single event loop can
-// carry millions of concurrent stub clients. Conn.Exchange remains a
-// blocking call (it drives a pooled private scheduler to completion);
-// Conn.ExchangeEvent exposes the asynchronous chain for callers that
-// multiplex many exchanges on one scheduler. See DESIGN.md §10.
+// The transmission core is a discrete-event scheduler (internal/netsim/des):
+// each exchange is a chain of events — launch, delivery, completion — on
+// a des.Scheduler, so a single event loop can carry millions of
+// concurrent stub clients. Every host serves as an EventHandler on the
+// scheduler that delivered the query; a handler never blocks. Conn.Exchange
+// remains a blocking top-level entry point (it drives a pooled private
+// scheduler to completion); Conn.ExchangeEvent exposes the asynchronous
+// chain for callers that multiplex many exchanges on one scheduler. See
+// DESIGN.md §10.
 package netsim
 
 import (
@@ -32,6 +34,7 @@ import (
 	"dnscde/internal/detpar"
 	"dnscde/internal/dnswire"
 	"dnscde/internal/metrics"
+	"dnscde/internal/netsim/des"
 	"dnscde/internal/trace"
 )
 
@@ -46,25 +49,34 @@ var (
 	ErrMalformed = errors.New("netsim: malformed message")
 )
 
-// Handler processes one DNS query arriving at a simulated host.
-//
-// The handler may issue nested exchanges (a recursive resolver querying an
-// authoritative server does); nested latency is accumulated onto the
-// enclosing exchange via the context, so the round-trip time observed by
-// the original client includes upstream resolution time — the basis of the
-// paper's §IV-B3 timing side channel.
+// Handler processes one DNS query and returns the response in one blocking
+// call. It is the contract of the real-socket servers (package udpnet);
+// hosts on the simulated network register an EventHandler instead.
 type Handler interface {
 	ServeDNS(ctx context.Context, src netip.Addr, query *dnswire.Message) (*dnswire.Message, error)
 }
 
-// HandlerFunc adapts a function to the Handler interface.
+// HandlerFunc adapts a function to both handler contracts. As an
+// EventHandler it answers inline and responds at the delivery instant, so
+// it adds no event and charges no handler time.
 type HandlerFunc func(ctx context.Context, src netip.Addr, query *dnswire.Message) (*dnswire.Message, error)
 
-var _ Handler = HandlerFunc(nil)
+var (
+	_ Handler      = HandlerFunc(nil)
+	_ EventHandler = HandlerFunc(nil)
+)
 
 // ServeDNS implements Handler.
 func (f HandlerFunc) ServeDNS(ctx context.Context, src netip.Addr, query *dnswire.Message) (*dnswire.Message, error) {
 	return f(ctx, src, query)
+}
+
+// ServeDNSEvent implements EventHandler: the function runs inside the
+// delivery event, behind a panic boundary, and its response leaves at
+// the same simulated instant.
+func (f HandlerFunc) ServeDNSEvent(ctx context.Context, sched *des.Scheduler, src netip.Addr, query *dnswire.Message, r Responder) {
+	resp, err := safeServe(f, ctx, src, query)
+	r.Respond(sched.Now(), resp, err)
 }
 
 // LinkProfile describes the network path characteristics of one host.
@@ -94,7 +106,7 @@ func DefaultLinkProfile() LinkProfile {
 }
 
 type host struct {
-	handler Handler
+	handler EventHandler
 	profile LinkProfile
 	// down marks a transient outage toggled by SetDown; queries to a down
 	// host vanish (client times out). Atomic so the hot path reads it
@@ -351,7 +363,7 @@ func (n *Network) SetDown(addr netip.Addr, down bool) {
 
 // Register attaches handler to addr with the given link profile. It
 // replaces any previous registration for addr.
-func (n *Network) Register(addr netip.Addr, profile LinkProfile, handler Handler) {
+func (n *Network) Register(addr netip.Addr, profile LinkProfile, handler EventHandler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.hosts.Store(addr, &host{handler: handler, profile: profile})
@@ -428,68 +440,8 @@ func (n *Network) rebuildHostsView() *map[netip.Addr]*host {
 	return &m
 }
 
-type latencyMeterKey struct{}
-
-// latencyMeter accumulates simulated upstream time spent by a handler so
-// that nested exchanges inflate the caller-observed RTT.
-type latencyMeter struct {
-	mu      sync.Mutex
-	elapsed time.Duration
-}
-
-func (lm *latencyMeter) add(d time.Duration) {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	lm.elapsed += d
-}
-
-func (lm *latencyMeter) total() time.Duration {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return lm.elapsed
-}
-
-// meterPool recycles latency meters across exchanges. One meter used to
-// escape into the handler context per round trip (two when duplication
-// fired); pooling removes that steady-state allocation. Safe because
-// handlers run synchronously inside the delivery event — nothing retains
-// the meter after safeServe returns.
-var meterPool = sync.Pool{New: func() any { return new(latencyMeter) }}
-
-// getMeter returns a zeroed meter from the pool.
-func getMeter() *latencyMeter {
-	lm := meterPool.Get().(*latencyMeter)
-	lm.elapsed = 0
-	return lm
-}
-
-// chargeUpstream adds d to the latency meter of the exchange enclosing ctx,
-// if any. Handlers performing work outside this package's Exchange path
-// (e.g. artificial processing delay) may call ChargeLatency instead.
-func chargeUpstream(ctx context.Context, d time.Duration) {
-	if lm, ok := ctx.Value(latencyMeterKey{}).(*latencyMeter); ok {
-		lm.add(d)
-	}
-}
-
-// ChargeLatency records extra simulated processing time against the
-// exchange enclosing ctx. Handlers use it to model cache-lookup or
-// computation delay. Synchronous handlers charge the enclosing exchange's
-// latency meter; code running under a sharded scheduler's process bridge
-// (no meter in scope — nested time advances on the event loops instead)
-// charges the process, delaying its next injected event by d.
-func ChargeLatency(ctx context.Context, d time.Duration) {
-	if _, ok := ctx.Value(latencyMeterKey{}).(*latencyMeter); ok {
-		chargeUpstream(ctx, d)
-		return
-	}
-	if p := processFrom(ctx); p != nil {
-		p.Advance(d)
-	}
-}
-
-// safeServe invokes a handler, converting panics into errors so one
-// faulty simulated host cannot take down the whole network — the same
+// safeServe invokes a blocking handler, converting panics into errors so
+// one faulty simulated host cannot take down the whole network — the same
 // boundary recovery a real server framework applies per request.
 func safeServe(h Handler, ctx context.Context, src netip.Addr, query *dnswire.Message) (resp *dnswire.Message, err error) {
 	defer func() {

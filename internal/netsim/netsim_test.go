@@ -11,6 +11,7 @@ import (
 
 	"dnscde/internal/dnswire"
 	"dnscde/internal/metrics"
+	"dnscde/internal/netsim/des"
 )
 
 var (
@@ -19,7 +20,7 @@ var (
 )
 
 // echoHandler answers every query with an authoritative NOERROR response.
-func echoHandler() Handler {
+func echoHandler() HandlerFunc {
 	return HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		resp := dnswire.NewResponse(q)
 		resp.Header.Authoritative = true
@@ -114,18 +115,30 @@ func TestLossChargesTimeout(t *testing.T) {
 	}
 }
 
+// eventFunc adapts a function to EventHandler.
+type eventFunc func(ctx context.Context, sched *des.Scheduler, src netip.Addr, q *dnswire.Message, r Responder)
+
+func (f eventFunc) ServeDNSEvent(ctx context.Context, sched *des.Scheduler, src netip.Addr, q *dnswire.Message, r Responder) {
+	f(ctx, sched, src, q, r)
+}
+
 func TestNestedExchangeInflatesRTT(t *testing.T) {
 	n := New(1)
 	upstream := MustAddr("203.0.113.1")
 	n.Register(upstream, LinkProfile{OneWay: 30 * time.Millisecond}, echoHandler())
 	// A "resolver" that forwards every query upstream before answering —
-	// the cache-miss path of the timing side channel.
-	resolver := HandlerFunc(func(ctx context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
-		_, _, err := n.Bind(testServer).Exchange(ctx, q, upstream)
-		if err != nil {
-			return nil, err
-		}
-		return dnswire.NewResponse(q), nil
+	// the cache-miss path of the timing side channel. The upstream
+	// schedule settles on the resolver's source lane, which in a one-lane
+	// universe is the delivering lane.
+	resolver := eventFunc(func(ctx context.Context, sched *des.Scheduler, _ netip.Addr, q *dnswire.Message, r Responder) {
+		ExchangeRetryEvent(ctx, sched, n.Bind(testServer), q, upstream, 1, Backoff{},
+			func(_ *dnswire.Message, _ time.Duration, err error) {
+				if err != nil {
+					r.Respond(sched.Now(), nil, err)
+					return
+				}
+				r.Respond(sched.Now(), dnswire.NewResponse(q), nil)
+			})
 	})
 	n.Register(testServer, LinkProfile{OneWay: 5 * time.Millisecond}, resolver)
 
@@ -139,11 +152,10 @@ func TestNestedExchangeInflatesRTT(t *testing.T) {
 	}
 }
 
-func TestChargeLatency(t *testing.T) {
+func TestRespondAfterInflatesRTT(t *testing.T) {
 	n := New(1)
-	slow := HandlerFunc(func(ctx context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
-		ChargeLatency(ctx, 15*time.Millisecond)
-		return dnswire.NewResponse(q), nil
+	slow := eventFunc(func(_ context.Context, sched *des.Scheduler, _ netip.Addr, q *dnswire.Message, r Responder) {
+		RespondAfter(sched, 15*time.Millisecond, r, dnswire.NewResponse(q), nil)
 	})
 	n.Register(testServer, LinkProfile{}, slow)
 	_, rtt, err := n.Bind(testClient).Exchange(context.Background(), dnswire.NewQuery(1, "a.example", dnswire.TypeA), testServer)
@@ -153,10 +165,6 @@ func TestChargeLatency(t *testing.T) {
 	if rtt != 15*time.Millisecond {
 		t.Errorf("rtt = %v, want 15ms of charged processing", rtt)
 	}
-}
-
-func TestChargeLatencyOutsideExchangeIsNoop(t *testing.T) {
-	ChargeLatency(context.Background(), time.Hour) // must not panic
 }
 
 func TestUnregister(t *testing.T) {

@@ -6,12 +6,11 @@ import (
 	"dnscde/internal/netsim/des"
 )
 
-// procCtxKey carries the des.Process driving the calling goroutine. Code
-// running under a sharded scheduler's process bridge (a scenario
-// workload, the platform's recursion goroutine) tags its context with the
-// process so blocking helpers — ExchangeRetry above all — ride the
-// sharded event loops via Await/Resume instead of spinning up nested
-// pooled schedulers.
+// procCtxKey carries the des.Process driving the calling goroutine. A
+// sequential workload (simtest.World.RunSequenced) tags its context with
+// the process so blocking helpers — ExchangeRetry above all — ride the
+// world's event loops via Await/Resume instead of private pooled
+// schedulers.
 type procCtxKey struct{}
 
 // WithProcess returns ctx carrying p. Blocking netsim entry points that
@@ -29,8 +28,8 @@ func processFrom(ctx context.Context) *des.Process {
 
 // ClearProcess shadows any process in ctx with nil. The exchange layer
 // strips the process once at the bridge boundary so handler code — which
-// runs on lane goroutines, not on the process goroutine — can never
-// accidentally park a lane by awaiting on a context that is not its own.
+// runs on lane goroutines, not on the process goroutine — can never park
+// a lane by awaiting on a context that is not its own.
 func ClearProcess(ctx context.Context) context.Context {
 	if processFrom(ctx) == nil {
 		return ctx

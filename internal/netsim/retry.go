@@ -199,11 +199,10 @@ func (rs *retryState) onResult(resp *dnswire.Message, rtt time.Duration, err err
 	}
 	rs.retries.Inc()
 	// The backoff wait is simulated time: it inflates both this probe's
-	// cumulative cost and any enclosing exchange's RTT, exactly like the
-	// timeout that triggered it.
+	// cumulative cost and, because the wait elapses on the event loop, the
+	// round trip of any exchange whose handler issued the schedule.
 	wait := rs.bo.Wait(rs.seed, rs.attempt)
 	rs.total += wait
-	chargeUpstream(rs.ctx, wait)
 	rs.sched.Schedule(wait, rs, 0)
 }
 
@@ -257,7 +256,8 @@ func ExchangeRetry(ctx context.Context, ex Exchanger, query *dnswire.Message, ds
 // ExchangeRetryBackoff is ExchangeRetry with an explicit backoff schedule;
 // the zero Backoff retransmits immediately. Event-capable transports (the
 // simulated Conn, udpnet's TCPFallback over simulated legs) run the whole
-// schedule as an event chain on a pooled scheduler; other Exchangers fall
+// schedule as an event chain — on the calling process's world, or on a
+// private pooled scheduler driven to completion; other Exchangers fall
 // back to the blocking loop.
 //
 //cdelint:hotpath
@@ -266,10 +266,9 @@ func ExchangeRetryBackoff(ctx context.Context, ex Exchanger, query *dnswire.Mess
 		attempts = 1
 	}
 	if eex, ok := ex.(EventExchanger); ok {
-		// Under a sharded universe, a goroutine driven by a des.Process
-		// (a scenario workload, the platform's recursion) runs the whole
-		// schedule on the shared event loops instead of a private nested
-		// scheduler, parking until the chain settles.
+		// A goroutine driven by a des.Process (a RunSequenced workload)
+		// runs the whole schedule on its world's event loops instead of a
+		// private scheduler, parking until the chain settles.
 		if p := processFrom(ctx); p != nil {
 			return exchangeRetryProcess(ctx, p, eex, query, dst, attempts, bo)
 		}
@@ -287,18 +286,25 @@ func ExchangeRetryBackoff(ctx context.Context, ex Exchanger, query *dnswire.Mess
 	return exchangeRetryBlocking(ctx, ex, query, dst, attempts, bo)
 }
 
-// ExchangeRetryEvent runs a full retransmission schedule asynchronously on
-// the caller's scheduler: done fires at the simulated time the schedule
-// settles (success, non-timeout error, cancellation or exhaustion), with
-// the cumulative duration across attempts and backoff waits.
+// ExchangeRetryEvent runs a full retransmission schedule asynchronously.
+// The schedule launches at the current instant on ex's own lane of
+// sched's universe — a Conn's source-address lane, the lane a process's
+// ExchangeRetry picks — so every draw from the source's RNG stream stays
+// on one event loop. done fires on that lane at the simulated time the
+// schedule settles (success, non-timeout error, cancellation or
+// exhaustion), with the cumulative duration across attempts and backoff
+// waits. Only the goroutine running sched may call it.
+//
+//cdelint:hotpath
 func ExchangeRetryEvent(ctx context.Context, sched *des.Scheduler, ex EventExchanger, query *dnswire.Message, dst netip.Addr, attempts int, bo Backoff, done func(*dnswire.Message, time.Duration, error)) {
 	if attempts < 1 {
 		attempts = 1
 	}
+	lane := sourceLane(sched, ex)
 	rs := getRetryState()
-	initRetryState(rs, sched, ex, ctx, query, dst, attempts, bo)
+	initRetryState(rs, sched.LaneScheduler(lane), ex, ctx, query, dst, attempts, bo)
 	rs.done = done
-	sched.Schedule(0, rs, 0)
+	sched.SendTo(lane, sched.Now(), rs, 0)
 }
 
 // laneKeyer is implemented by transports that know which sharded lane
@@ -306,6 +312,17 @@ func ExchangeRetryEvent(ctx context.Context, sched *des.Scheduler, ex EventExcha
 // source address, keeping each source's work on one event loop).
 type laneKeyer interface {
 	LaneKey() uint64
+}
+
+// sourceLane returns the lane ex's exchanges launch on: the lane its
+// LaneKey partitions to, or lane 0 for transports without one.
+//
+//cdelint:hotpath
+func sourceLane(u interface{ LaneFor(uint64) int }, ex EventExchanger) int {
+	if lk, ok := ex.(laneKeyer); ok {
+		return u.LaneFor(lk.LaneKey())
+	}
+	return 0
 }
 
 // procWait is the pooled rendezvous between a parked process goroutine
@@ -353,10 +370,7 @@ func (w *procWait) deliver(resp *dnswire.Message, total time.Duration, err error
 //cdelint:hotpath
 func exchangeRetryProcess(ctx context.Context, p *des.Process, ex EventExchanger, query *dnswire.Message, dst netip.Addr, attempts int, bo Backoff) (*dnswire.Message, time.Duration, error) {
 	cctx := ClearProcess(ctx)
-	lane := 0
-	if lk, ok := ex.(laneKeyer); ok {
-		lane = p.LaneFor(lk.LaneKey())
-	}
+	lane := sourceLane(p, ex)
 	w := getProcWait()
 	w.p = p
 	rs := getRetryState()
@@ -388,9 +402,7 @@ func exchangeRetryBlocking(ctx context.Context, ex Exchanger, query *dnswire.Mes
 				return nil, total, cerr
 			}
 			retries.Inc()
-			wait := bo.Wait(seed, i)
-			total += wait
-			chargeUpstream(ctx, wait)
+			total += bo.Wait(seed, i)
 		}
 		resp, rtt, err := ex.Exchange(ctx, query, dst)
 		total += rtt

@@ -13,25 +13,23 @@ import (
 	"dnscde/internal/trace"
 )
 
-// Ingress pipeline opcodes: on a sharded scheduler the platform serves a
-// query as a native event chain on the delivering lane instead of
-// blocking inside the delivery event. opIngress runs the front-of-house
-// checks and the load-balancer sample, opCacheLookup samples the one
-// cache (answering hits after CacheHitDelay of simulated time), opRecurse
-// hands a miss to the egress resolver on a des.Process — so the recursion
-// interleaves with other traffic on the event loops instead of nesting
-// pooled schedulers — and opRespond delivers the response. The stages
-// mirror serveFrom statement for statement; both paths must consume
-// identical RNG draws and charge identical simulated time (DESIGN.md §12).
+// Ingress pipeline opcodes: the platform serves every query as an event
+// chain on the lane that delivered it — the ingress pipeline of Fig. 1.
+// opIngress runs the front-of-house checks and the load-balancer sample;
+// opCacheLookup samples the one cache, answering hits (after
+// CacheHitDelay of simulated time, via opRespond) and starting the
+// resolution of misses; opResume hands each upstream answer of that
+// resolution back to the delivering lane (resolve.go).
 const (
 	opIngress uint8 = iota
 	opCacheLookup
-	opRecurse
+	opResume
 	opRespond
 )
 
 // queryEv is the pooled per-query actor carrying one ingress pipeline
-// through its stages.
+// through its stages, including the continuation state of a miss's
+// resolution.
 type queryEv struct {
 	p       *Platform
 	ingress netip.Addr
@@ -47,33 +45,26 @@ type queryEv struct {
 	cache    *dnscache.Cache
 	cacheIdx int
 	err      error
+
+	resolution
 }
 
 var _ des.Actor = (*queryEv)(nil)
 
-var (
-	_ netsim.EventHandler = (*front)(nil)
-	_ netsim.EventHandler = (*Platform)(nil)
-)
+var _ netsim.EventHandler = (*front)(nil)
 
 var queryEvPool = sync.Pool{New: func() any { return new(queryEv) }}
 
 // ServeDNSEvent implements netsim.EventHandler for one ingress IP.
 func (f *front) ServeDNSEvent(ctx context.Context, sched *des.Scheduler, src netip.Addr, query *dnswire.Message, r netsim.Responder) {
-	f.p.serveFromEvent(ctx, sched, f.ingress, src, query, r)
-}
-
-// ServeDNSEvent implements netsim.EventHandler directly for single-ingress
-// use, mirroring ServeDNS.
-func (p *Platform) ServeDNSEvent(ctx context.Context, sched *des.Scheduler, src netip.Addr, query *dnswire.Message, r netsim.Responder) {
-	p.serveFromEvent(ctx, sched, p.cfg.IngressIPs[0], src, query, r)
-}
-
-// serveFromEvent starts the event-native ingress pipeline.
-func (p *Platform) serveFromEvent(ctx context.Context, sched *des.Scheduler, ingress, src netip.Addr, query *dnswire.Message, r netsim.Responder) {
 	qe := queryEvPool.Get().(*queryEv)
-	qe.p = p
-	qe.ingress = ingress
+	if qe.onUpstreamFn == nil {
+		// The bound method value is created once per pooled record and
+		// survives recycling, so upstream queries allocate no closure.
+		qe.onUpstreamFn = qe.onUpstream
+	}
+	qe.p = f.p
+	qe.ingress = f.ingress
 	qe.sched = sched
 	qe.lane = sched.LaneIndex()
 	qe.ctx = ctx
@@ -83,47 +74,59 @@ func (p *Platform) serveFromEvent(ctx context.Context, sched *des.Scheduler, ing
 	sched.Schedule(0, qe, opIngress)
 }
 
-// Fire dispatches one pipeline stage.
+// Fire dispatches one pipeline stage and, once the query has settled,
+// delivers the response.
 func (qe *queryEv) Fire(now des.Time, op uint8) {
-	switch op {
-	case opIngress:
-		qe.stageIngress(now)
-	case opCacheLookup:
-		qe.stageCacheLookup(now)
-	case opRecurse:
-		qe.stageRecurse()
-	case opRespond:
+	if qe.step(op) {
 		qe.respond(now)
 	}
+}
+
+// step runs one stage and reports whether the query has settled. It is
+// the platform's panic boundary: a panic in a stage or in the resolution
+// settles the query with an error, which the client's exchange receives
+// as a handler failure, instead of killing the event loop.
+func (qe *queryEv) step(op uint8) (settled bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			qe.resp, qe.err = nil, fmt.Errorf("platform: panic: %v", r)
+			settled = true
+		}
+	}()
+	switch op {
+	case opIngress:
+		return qe.stageIngress()
+	case opCacheLookup:
+		return qe.stageCacheLookup()
+	case opResume:
+		return qe.resume()
+	case opRespond:
+		return true
+	}
+	return false
 }
 
 // respond delivers the terminal response (or error) and recycles the
 // record.
 func (qe *queryEv) respond(now des.Time) {
 	r, resp, err := qe.r, qe.resp, qe.err
+	fn := qe.onUpstreamFn
 	*qe = queryEv{}
+	qe.onUpstreamFn = fn
 	queryEvPool.Put(qe)
 	r.Respond(now, resp, err)
 }
 
-// respondNow is for stages that settle at the current instant without
-// another event hop (handlerTime parity: the synchronous path charges no
-// meter time on these branches either).
-func (qe *queryEv) respondNow(now des.Time, resp *dnswire.Message) {
-	qe.resp = resp
-	qe.respond(now)
-}
-
-// stageIngress mirrors the front-of-house half of serveFrom: question
-// parse, query accounting, refusal policy and the load-balancer sample.
-func (qe *queryEv) stageIngress(now des.Time) {
+// stageIngress is the front of house: question parse, query accounting,
+// refusal policy and the load-balancer sample.
+func (qe *queryEv) stageIngress() bool {
 	p := qe.p
 	q, err := qe.query.FirstQuestion()
 	if err != nil {
 		resp := dnswire.NewResponse(qe.query)
 		resp.Header.RCode = dnswire.RCodeFormErr
-		qe.respondNow(now, resp)
-		return
+		qe.resp = resp
+		return true
 	}
 	qe.q = q
 	p.count(func(s *PlatformStats) { s.Queries++ })
@@ -137,18 +140,19 @@ func (qe *queryEv) stageIngress(now des.Time) {
 		p.count(func(s *PlatformStats) { s.Refused++ })
 		p.mRefused.Inc()
 		resp.Header.RCode = dnswire.RCodeRefused
-		qe.respondNow(now, resp)
-		return
+		return true
 	}
 
+	// Load balancer: sample exactly one cache from the ingress IP's
+	// cluster (§IV-A). The selector indexes within the cluster so that,
+	// e.g., round robin cycles over the cluster's caches.
 	cluster := p.clusterFor(qe.ingress)
 	if len(cluster) == 0 {
 		// Every cache behind this ingress IP is down.
 		p.count(func(s *PlatformStats) { s.UpstreamFail++ })
 		p.mUpstreamFail.Inc()
 		resp.Header.RCode = dnswire.RCodeServFail
-		qe.respondNow(now, resp)
-		return
+		return true
 	}
 	pos := p.cfg.Selector.Select(q, qe.src, len(cluster))
 	qe.cacheIdx = cluster[pos]
@@ -156,13 +160,13 @@ func (qe *queryEv) stageIngress(now des.Time) {
 	trace.Addf(qe.ctx, "lb", "%s selected cache %d of %d for %s", p.cfg.Selector.Name(), qe.cacheIdx, len(cluster), q)
 
 	qe.sched.Schedule(0, qe, opCacheLookup)
+	return false
 }
 
 // stageCacheLookup samples the one selected cache. Hits answer after
-// CacheHitDelay of simulated time — the event-world form of the
-// ChargeLatency call the synchronous path makes — and misses fall through
-// to the recursion stage.
-func (qe *queryEv) stageCacheLookup(now des.Time) {
+// CacheHitDelay of simulated time; a miss starts the egress resolver,
+// whose result is stored in the sampled cache only.
+func (qe *queryEv) stageCacheLookup() bool {
 	p := qe.p
 	if entry, ok := qe.cache.Get(qe.q, p.cfg.Clock.Now()); ok {
 		p.count(func(s *PlatformStats) { s.CacheHits++ })
@@ -171,68 +175,34 @@ func (qe *queryEv) stageCacheLookup(now des.Time) {
 		qe.resp = p.entryToResponse(qe.resp, entry)
 		if p.cfg.CacheHitDelay > 0 {
 			qe.sched.Schedule(p.cfg.CacheHitDelay, qe, opRespond)
-			return
+			return false
 		}
-		qe.respond(now)
-		return
+		return true
 	}
 	p.count(func(s *PlatformStats) { s.CacheMisses++ })
 	p.mCacheMisses.Inc()
 	trace.Addf(qe.ctx, "cache-miss", "%s lacks %s", qe.cache.ID, qe.q)
-	qe.sched.Schedule(0, qe, opRecurse)
+	return qe.resolve(qe.q)
 }
 
-// stageRecurse hands the miss to the egress resolver. On a sharded
-// universe the existing blocking resolver code runs on its own goroutine
-// under a des.Process: each upstream exchange it issues rides the shared
-// event loops (ExchangeRetry detects the process in its context), parking
-// the goroutine between events, and the accumulated simulated time lands
-// in the opRespond injection. Without a sharded universe (defensive —
-// the exchange layer only routes here when sharded) the resolver runs
-// synchronously on the lane with legacy nested pooled schedulers.
-func (qe *queryEv) stageRecurse() {
-	ss := qe.sched.Sharded()
-	if ss == nil {
-		qe.finishResolve(qe.ctx)
-		qe.sched.Schedule(0, qe, opRespond)
-		return
-	}
-	proc := ss.NewProcess()
-	go qe.recurse(proc)
-}
-
-// recurse is the process goroutine: the platform's unmodified recursive
-// resolution (forwarding chain or iterative descent), with the process in
-// scope so nested exchanges await on the event loops.
-func (qe *queryEv) recurse(proc *des.Process) {
-	defer func() {
-		if r := recover(); r != nil {
-			if des.Aborted(r) {
-				// The universe died under us (a lane panic elsewhere);
-				// unwind silently, the coordinator reports the cause.
-				return
-			}
-			qe.resp = nil
-			qe.err = fmt.Errorf("platform: resolve panic: %v", r)
-			proc.Detach(qe.lane, qe, opRespond)
-		}
-	}()
-	qe.finishResolve(netsim.WithProcess(qe.ctx, proc))
-	proc.Detach(qe.lane, qe, opRespond)
-}
-
-// finishResolve mirrors the miss half of serveFrom: resolve, store into
-// the sampled cache, optional AAAA follow-up, response assembly.
-func (qe *queryEv) finishResolve(ctx context.Context) {
+// resolved takes the result of one resolution: the client's question or,
+// for platforms configured with QueryAAAA, its AAAA follow-up.
+func (qe *queryEv) resolved(e dnscache.Entry, err error) bool {
 	p := qe.p
-	entry, err := p.resolve(ctx, qe.q, qe.cacheIdx)
+	if qe.followUp {
+		if err == nil {
+			qe.cache.Put(qe.target, e, p.cfg.Clock.Now())
+		}
+		qe.resp = p.entryToResponse(qe.resp, qe.entry)
+		return true
+	}
 	if err != nil {
 		p.count(func(s *PlatformStats) { s.UpstreamFail++ })
 		p.mUpstreamFail.Inc()
 		qe.resp.Header.RCode = dnswire.RCodeServFail
-		return
+		return true
 	}
-	qe.cache.Put(qe.q, entry, p.cfg.Clock.Now())
+	qe.cache.Put(qe.q, e, p.cfg.Clock.Now())
 
 	// Windows-style follow-up: prefetch the AAAA record for names just
 	// resolved under A (observable at the nameserver as an A→AAAA query
@@ -240,10 +210,11 @@ func (qe *queryEv) finishResolve(ctx context.Context) {
 	if p.cfg.QueryAAAA && qe.q.Type == dnswire.TypeA {
 		followUp := dnswire.Question{Name: qe.q.Name, Type: dnswire.TypeAAAA, Class: qe.q.Class}
 		if _, ok := qe.cache.Get(followUp, p.cfg.Clock.Now()); !ok {
-			if e6, err := p.resolve(ctx, followUp, qe.cacheIdx); err == nil {
-				qe.cache.Put(followUp, e6, p.cfg.Clock.Now())
-			}
+			qe.followUp = true
+			qe.entry = e
+			return qe.resolve(followUp)
 		}
 	}
-	qe.resp = p.entryToResponse(qe.resp, entry)
+	qe.resp = p.entryToResponse(qe.resp, e)
+	return true
 }

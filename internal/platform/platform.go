@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -13,12 +12,11 @@ import (
 	"dnscde/internal/loadbal"
 	"dnscde/internal/metrics"
 	"dnscde/internal/netsim"
-	"dnscde/internal/trace"
 )
 
 // Platform is a running DNS resolution platform attached to a simulated
-// network. It implements netsim.Handler at each of its ingress IPs and is
-// safe for concurrent use.
+// network. It serves as a netsim.EventHandler at each of its ingress IPs
+// and is safe for concurrent use.
 type Platform struct {
 	cfg    Config
 	net    *netsim.Network
@@ -50,8 +48,6 @@ type PlatformStats struct {
 	Refused      int64
 	UpstreamFail int64
 }
-
-var _ netsim.Handler = (*Platform)(nil)
 
 // New builds a platform from cfg and registers its ingress IPs on n with
 // the given link profile.
@@ -97,13 +93,6 @@ func New(cfg Config, n *netsim.Network, profile netsim.LinkProfile) (*Platform, 
 type front struct {
 	p       *Platform
 	ingress netip.Addr
-}
-
-var _ netsim.Handler = (*front)(nil)
-
-// ServeDNS implements netsim.Handler.
-func (f *front) ServeDNS(ctx context.Context, src netip.Addr, query *dnswire.Message) (*dnswire.Message, error) {
-	return f.p.serveFrom(ctx, f.ingress, src, query)
 }
 
 // GroundTruth returns the configuration summary the experiments verify
@@ -208,88 +197,6 @@ func (p *Platform) count(f func(*PlatformStats)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	f(&p.stats)
-}
-
-// ServeDNS implements netsim.Handler directly for single-ingress use; the
-// query is treated as having arrived at the first ingress IP.
-func (p *Platform) ServeDNS(ctx context.Context, src netip.Addr, query *dnswire.Message) (*dnswire.Message, error) {
-	return p.serveFrom(ctx, p.cfg.IngressIPs[0], src, query)
-}
-
-// serveFrom is the ingress pipeline of Fig. 1. Exactly one cache is
-// sampled per query (§IV-A); on a miss the egress resolver performs
-// iterative resolution and the result is stored in the sampled cache only.
-func (p *Platform) serveFrom(ctx context.Context, ingress, src netip.Addr, query *dnswire.Message) (*dnswire.Message, error) {
-	q, err := query.FirstQuestion()
-	if err != nil {
-		resp := dnswire.NewResponse(query)
-		resp.Header.RCode = dnswire.RCodeFormErr
-		return resp, nil
-	}
-	p.count(func(s *PlatformStats) { s.Queries++ })
-	p.mQueries.Inc()
-
-	resp := dnswire.NewResponse(query)
-	resp.Header.RecursionAvailable = true
-
-	if !p.allowed(q.Name) {
-		p.count(func(s *PlatformStats) { s.Refused++ })
-		p.mRefused.Inc()
-		resp.Header.RCode = dnswire.RCodeRefused
-		return resp, nil
-	}
-
-	// Load balancer: sample exactly one cache from the ingress IP's
-	// cluster. The selector indexes within the cluster so that, e.g.,
-	// round robin cycles over the cluster's caches.
-	cluster := p.clusterFor(ingress)
-	if len(cluster) == 0 {
-		// Every cache behind this ingress IP is down.
-		p.count(func(s *PlatformStats) { s.UpstreamFail++ })
-		p.mUpstreamFail.Inc()
-		resp.Header.RCode = dnswire.RCodeServFail
-		return resp, nil
-	}
-	pos := p.cfg.Selector.Select(q, src, len(cluster))
-	cacheIdx := cluster[pos]
-	cache := p.caches[cacheIdx]
-	trace.Addf(ctx, "lb", "%s selected cache %d of %d for %s", p.cfg.Selector.Name(), cacheIdx, len(cluster), q)
-
-	now := p.cfg.Clock.Now()
-	if entry, ok := cache.Get(q, now); ok {
-		p.count(func(s *PlatformStats) { s.CacheHits++ })
-		p.mCacheHits.Inc()
-		trace.Addf(ctx, "cache-hit", "%s answered %s", cache.ID, q)
-		if p.cfg.CacheHitDelay > 0 {
-			netsim.ChargeLatency(ctx, p.cfg.CacheHitDelay)
-		}
-		return p.entryToResponse(resp, entry), nil
-	}
-	p.count(func(s *PlatformStats) { s.CacheMisses++ })
-	p.mCacheMisses.Inc()
-	trace.Addf(ctx, "cache-miss", "%s lacks %s", cache.ID, q)
-
-	entry, err := p.resolve(ctx, q, cacheIdx)
-	if err != nil {
-		p.count(func(s *PlatformStats) { s.UpstreamFail++ })
-		p.mUpstreamFail.Inc()
-		resp.Header.RCode = dnswire.RCodeServFail
-		return resp, nil
-	}
-	cache.Put(q, entry, p.cfg.Clock.Now())
-
-	// Windows-style follow-up: prefetch the AAAA record for names just
-	// resolved under A (observable at the nameserver as an A→AAAA query
-	// pattern — a §VI software fingerprint).
-	if p.cfg.QueryAAAA && q.Type == dnswire.TypeA {
-		followUp := dnswire.Question{Name: q.Name, Type: dnswire.TypeAAAA, Class: q.Class}
-		if _, ok := cache.Get(followUp, p.cfg.Clock.Now()); !ok {
-			if e6, err := p.resolve(ctx, followUp, cacheIdx); err == nil {
-				cache.Put(followUp, e6, p.cfg.Clock.Now())
-			}
-		}
-	}
-	return p.entryToResponse(resp, entry), nil
 }
 
 // entryToResponse fills resp from a cache entry.

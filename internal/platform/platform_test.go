@@ -436,7 +436,7 @@ func TestFlushCaches(t *testing.T) {
 func TestFormErrOnEmptyQuery(t *testing.T) {
 	w := buildWorld(t, 5)
 	p := w.newPlatform(t, nil)
-	resp, err := p.ServeDNS(context.Background(), clientAddr, &dnswire.Message{})
+	resp, _, err := w.net.Bind(clientAddr).Exchange(context.Background(), &dnswire.Message{}, p.Config().IngressIPs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,7 @@ import (
 )
 
 // checkpointShardSweep is the shard axis for the round-trip sweep; the
-// legacy path (shards 0) is exercised separately because its snapshots
-// carry a different event-clock barrier (DESIGN.md §14).
+// shards 0 spelling is exercised separately.
 var checkpointShardSweep = []int{1, 4}
 
 // TestCheckpointRoundTrip is the conformance lock for checkpoint/
@@ -60,10 +59,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripLegacy runs the round trip on the legacy
-// single-scheduler path (shards 0) for one scenario: snapshots there
-// carry a zero event-clock barrier, but restore-then-run must still
-// reproduce the golden byte-for-byte.
+// TestCheckpointRoundTripLegacy runs the round trip with the shards 0
+// spelling, which once selected a separate single-scheduler world and now
+// builds the one-lane world: its snapshot bytes must equal the shards=1
+// snapshot's, and restore-then-run must reproduce the golden
+// byte-for-byte.
 func TestCheckpointRoundTripLegacy(t *testing.T) {
 	sc, err := LoadFile(corpusDir + "/open-resolver-4" + ScenarioExt)
 	if err != nil {
@@ -73,7 +73,19 @@ func TestCheckpointRoundTripLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := RunCheckpointed(context.Background(), sc, RunOptions{Workers: 1, Shards: 0})
+	ctx := context.Background()
+	zero, err := CheckpointTrial(ctx, sc, 0, sc.MidpointBarrier(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := CheckpointTrial(ctx, sc, 0, sc.MidpointBarrier(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(zero, one) {
+		t.Error("shards=0 snapshot differs from the shards=1 snapshot")
+	}
+	report, err := RunCheckpointed(ctx, sc, RunOptions{Workers: 1, Shards: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +94,7 @@ func TestCheckpointRoundTripLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, got) {
-		t.Errorf("legacy restored run drifted from golden: %s", firstDiff(want, got))
+		t.Errorf("shards=0 restored run drifted from golden: %s", firstDiff(want, got))
 	}
 }
 

@@ -15,11 +15,10 @@ import (
 // counts before it is compared against its golden.
 var DefaultWorkerSweep = []int{1, 8}
 
-// DefaultShardSweep is the conformance shard sweep: 0 is the legacy
-// single-scheduler path, the rest are sharded universes with that many
+// DefaultShardSweep is the conformance shard sweep: worlds with that many
 // event-loop lanes. Every scenario must produce byte-identical reports
 // across the whole workers x shards cross product (DESIGN.md §12).
-var DefaultShardSweep = []int{0, 1, 2, 8}
+var DefaultShardSweep = []int{1, 2, 8}
 
 // ScenarioExt is the corpus file extension.
 const ScenarioExt = ".scn"

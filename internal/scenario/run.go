@@ -26,10 +26,9 @@ func derive(seed int64, salts ...uint64) int64 { return detpar.Derive(seed, salt
 type RunOptions struct {
 	// Workers bounds the trial fan-out; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Shards, when >= 1, runs every trial's world on a sharded
-	// discrete-event scheduler with that many event-loop lanes (see
-	// simtest.Options.Shards); 0 keeps the legacy single-scheduler path.
-	// Reports are byte-identical either way (DESIGN.md §12).
+	// Shards is the number of event-loop lanes every trial's world runs
+	// on (see simtest.Options.Shards); values below 1 mean one lane.
+	// Reports are byte-identical at any shard count (DESIGN.md §12).
 	Shards int
 }
 
@@ -238,12 +237,11 @@ func (s *Scenario) platformCaches(name string) int {
 	return 0
 }
 
-// runTrial builds one fresh world and executes every workload. With
-// shards >= 1 the whole trial runs as one event-chained population on the
-// world's sharded scheduler: the workload loop becomes a des.Process, so
-// every probe it issues — and every recursion the target platform spawns —
-// interleaves on the shared event-loop lanes instead of nesting pooled
-// schedulers.
+// runTrial builds one fresh world and executes every workload. The whole
+// trial runs as one event-chained population on the world's scheduler:
+// the workload loop becomes a des.Process, so every probe it issues — and
+// every recursion the target platform performs — interleaves on the
+// world's event-loop lanes.
 func (s *Scenario) runTrial(ctx context.Context, seed int64, shards int) (trialOut, error) {
 	reg := metrics.New()
 	w, err := simtest.New(simtest.Options{Seed: seed, Metrics: reg, Shards: shards})

@@ -25,18 +25,11 @@ import (
 // sessions with fresh names — so the zone tail is dead state; the session
 // cursor is captured so post-restore sessions get the same names.
 func (w *World) Snapshot(app []byte) (*worldstate.Image, error) {
-	if w.Sharded != nil {
-		if !w.Sharded.Quiescent() {
-			return nil, worldstate.ErrBusy
-		}
-	} else if !w.Sched.Quiescent() {
+	if !w.Sharded.Quiescent() {
 		return nil, worldstate.ErrBusy
 	}
 
-	var barrier = w.Sched.Now()
-	if w.Sharded != nil {
-		barrier = w.Sharded.Now()
-	}
+	barrier := w.Sharded.Now()
 	img := &worldstate.Image{
 		Meta: worldstate.Meta{
 			Seed:          w.seed,
@@ -89,11 +82,7 @@ func (w *World) Restore(img *worldstate.Image) error {
 	// world, so advancing by the difference lands exactly on the captured
 	// instant; the event clock is set directly at the quiescent barrier.
 	w.Clock.Advance(time.Unix(0, img.Meta.ClockUnixNano).Sub(w.Clock.Now()))
-	if w.Sharded != nil {
-		w.Sharded.RestoreClock(img.Meta.BarrierT)
-	} else {
-		w.Sched.RestoreClock(img.Meta.BarrierT)
-	}
+	w.Sharded.RestoreClock(img.Meta.BarrierT)
 
 	// Allocator cursors and session IDs.
 	w.nextIngress = img.Meta.NextIngress
@@ -136,11 +125,7 @@ func (w *World) validateImage(img *worldstate.Image) error {
 	if img.Meta.Seed != w.seed {
 		return fmt.Errorf("%w: snapshot seed %d, world seed %d", worldstate.ErrMismatch, img.Meta.Seed, w.seed)
 	}
-	if w.Sharded != nil {
-		if !w.Sharded.Quiescent() {
-			return worldstate.ErrBusy
-		}
-	} else if !w.Sched.Quiescent() {
+	if !w.Sharded.Quiescent() {
 		return worldstate.ErrBusy
 	}
 	if len(img.Platforms) != len(w.platforms) {

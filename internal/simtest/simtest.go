@@ -34,17 +34,13 @@ type World struct {
 	Clock *clock.Virtual
 	Tree  *dnstree.Tree
 	Infra *core.Infra
-	// Sched is the world's discrete-event scheduler for callers that
-	// multiplex many concurrent client exchanges on one event loop
-	// (netsim.EventExchanger / ExchangeRetryEvent). Blocking Exchange
-	// calls do not use it — they drive private pooled schedulers — so a
-	// world mixes both styles freely. Single-threaded: one goroutine owns
-	// Sched for the duration of a run. In a sharded world (Options.Shards
-	// ≥ 1) this is lane 0 of Sharded.
-	Sched *des.Scheduler
-	// Sharded is the multi-lane scheduler universe when the world was
-	// created with Options.Shards ≥ 1, nil otherwise. Workload code runs
-	// on it through RunSequenced.
+	// Sharded is the world's scheduler universe, Options.Shards event-loop
+	// lanes. Workload code runs on it through RunSequenced, and callers
+	// that multiplex many concurrent client exchanges on the loops
+	// (netsim.EventExchanger / ExchangeRetryEvent) schedule on its lanes.
+	// Blocking Exchange calls outside RunSequenced do not use it — they
+	// drive private pooled schedulers — so a world mixes both styles
+	// freely.
 	Sharded *des.ShardedScheduler
 	// Metrics is the cost-accounting registry wired through the network,
 	// infrastructure and every platform built by NewPlatform; nil when the
@@ -79,12 +75,10 @@ type Options struct {
 	// fault profile) — the switchboard for running any experiment under
 	// the deterministic fault substrate.
 	PlatformFaults *netsim.FaultProfile
-	// Shards, when ≥ 1, builds the world on a sharded scheduler with that
-	// many event-loop lanes: exchanges run as event chains partitioned
-	// across lanes by source/destination address, and handlers that speak
-	// netsim.EventHandler serve natively on the loops. 0 keeps the legacy
-	// single standalone scheduler (blocking exchanges on pooled private
-	// schedulers).
+	// Shards is the number of event-loop lanes the world's scheduler
+	// runs: exchanges run as event chains partitioned across lanes by
+	// source/destination address, and every handler serves on the lane
+	// its address partitions to. Values below 1 mean one lane.
 	Shards int
 }
 
@@ -110,12 +104,7 @@ func New(opts Options) (*World, error) {
 		nextClient:     netip.MustParseAddr("10.30.0.1"),
 		platformFaults: opts.PlatformFaults,
 	}
-	if opts.Shards >= 1 {
-		w.Sharded = des.NewSharded(opts.Shards)
-		w.Sched = w.Sharded.LaneScheduler(0)
-	} else {
-		w.Sched = des.NewScheduler()
-	}
+	w.Sharded = des.NewSharded(opts.Shards)
 	if opts.Metrics != nil {
 		w.Net.SetMetrics(opts.Metrics)
 	}
@@ -237,21 +226,18 @@ func (w *World) DirectProber(ingress netip.Addr) *core.DirectProber {
 }
 
 // RunSequenced executes fn — a blocking, strictly sequential workload:
-// probes one after another, never two in flight — against the world. On a
-// legacy world it simply calls fn. On a sharded world it runs fn on its
-// own goroutine under a des.Process, with the process in fn's context so
-// every nested ExchangeRetry rides the sharded event loops, and drives
-// the scheduler until both fn and all outstanding event chains finish.
-// The strict sequencing is what makes sharded runs byte-identical to
-// legacy runs at any shard count: every RNG draw in the workload happens
-// in causal chain order (DESIGN.md §12).
+// probes one after another, never two in flight — against the world. It
+// runs fn on its own goroutine under a des.Process, with the process in
+// fn's context so every ExchangeRetry rides the world's event loops, and
+// drives the scheduler until both fn and all outstanding event chains
+// finish. The strict sequencing is what makes runs byte-identical at any
+// shard count: every RNG draw in the workload happens in causal chain
+// order (DESIGN.md §12).
 func (w *World) RunSequenced(ctx context.Context, fn func(ctx context.Context) error) error {
-	if w.Sharded == nil {
-		return fn(ctx)
-	}
 	proc := w.Sharded.NewProcess()
 	var ferr error
 	var panicked any
+	//cdelint:allow simgo the workload driver is the process bridge: it parks on Await between rounds, so the coordinator never runs it concurrently with a lane
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
