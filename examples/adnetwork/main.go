@@ -16,12 +16,14 @@ import (
 	"dnscde/internal/adnet"
 	"dnscde/internal/core"
 	"dnscde/internal/loadbal"
+	"dnscde/internal/metrics"
 	"dnscde/internal/platform"
 	"dnscde/internal/simtest"
 )
 
 func main() {
-	w, err := simtest.New(simtest.Options{Seed: 9})
+	reg := metrics.New()
+	w, err := simtest.New(simtest.Options{Seed: 9, Metrics: reg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,21 +72,15 @@ func main() {
 
 	// The same client cannot re-query a name (browser/OS caches); show
 	// that the second fetch of a probe name never reaches the platform.
-	before := plat.SnapshotStats().Queries
+	platformQueries := func() int64 { return reg.Snapshot().Counter("platform.queries.isp") }
+	before := platformQueries()
 	if _, err := patient.Fetch(ctx, session.ProbeName(1)); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := patient.Fetch(ctx, session.ProbeName(1)); err != nil {
 		log.Fatal(err)
 	}
-	after := plat.SnapshotStats().Queries
+	after := platformQueries()
 	fmt.Printf("local caches absorbed %d of 2 repeat fetches (platform saw %d)\n",
 		2-int(after-before), after-before)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -58,14 +58,6 @@ type Entry struct {
 // Negative reports whether the entry caches a negative answer.
 func (e Entry) Negative() bool { return len(e.Records) == 0 }
 
-// Stats counts cache events.
-type Stats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Expired   int64
-}
-
 type item struct {
 	key     string
 	entry   Entry
@@ -86,10 +78,9 @@ type Cache struct {
 	mu    sync.Mutex
 	items map[string]*item
 	order *list.List // front = most recently used
-	stats Stats
 
 	// Accounting handles, nil (no-op) until SetMetrics attaches a
-	// registry.
+	// registry; the registry is the cache's only counter store.
 	mHits      *metrics.Counter
 	mMisses    *metrics.Counter
 	mExpired   *metrics.Counter
@@ -107,8 +98,8 @@ func New(id string, policy Policy) *Cache {
 }
 
 // SetMetrics attaches an accounting registry: cache events are counted
-// under "dnscache.{hits,misses,expired,evictions}.<ID>" in addition to
-// the local Stats. A nil registry detaches instrumentation.
+// under "dnscache.{hits,misses,expired,evictions}.<ID>". Without a
+// registry they are not counted. A nil registry detaches instrumentation.
 func (c *Cache) SetMetrics(reg *metrics.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -126,13 +117,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items)
-}
-
-// SnapshotStats returns a copy of the cache counters.
-func (c *Cache) SnapshotStats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 // Flush drops every entry.
@@ -212,7 +196,6 @@ func (c *Cache) Put(q dnswire.Question, e Entry, now time.Time) {
 		victim := back.Value.(*item)
 		c.order.Remove(back)
 		delete(c.items, victim.key)
-		c.stats.Evictions++
 		c.mEvictions.Inc()
 	}
 }
@@ -255,21 +238,17 @@ func (c *Cache) Get(q dnswire.Question, now time.Time) (Entry, bool) {
 	defer c.mu.Unlock()
 	it, ok := c.items[key]
 	if !ok {
-		c.stats.Misses++
 		c.mMisses.Inc()
 		return Entry{}, false
 	}
 	if !now.Before(it.expires) {
 		c.order.Remove(it.lru)
 		delete(c.items, key)
-		c.stats.Expired++
-		c.stats.Misses++
 		c.mExpired.Inc()
 		c.mMisses.Inc()
 		return Entry{}, false
 	}
 	c.order.MoveToFront(it.lru)
-	c.stats.Hits++
 	c.mHits.Inc()
 
 	// Guard against now < stored (virtual-clock rewind or skew): the

@@ -15,6 +15,20 @@ import (
 
 var _epoch = time.Date(2017, time.June, 26, 0, 0, 0, 0, time.UTC)
 
+// countedCache returns cache "c1" with a fresh registry attached, so a
+// test can read its event counters back with count.
+func countedCache(p Policy) (*Cache, *metrics.Registry) {
+	c := New("c1", p)
+	reg := metrics.New()
+	c.SetMetrics(reg)
+	return c, reg
+}
+
+// count reads counter "dnscache.<event>.c1" from reg.
+func count(reg *metrics.Registry, event string) int64 {
+	return reg.Snapshot().Counter("dnscache." + event + ".c1")
+}
+
 func q(name string) dnswire.Question {
 	return dnswire.Question{Name: dnswire.CanonicalName(name), Type: dnswire.TypeA, Class: dnswire.ClassIN}
 }
@@ -37,7 +51,7 @@ func negEntry(rcode dnswire.RCode, soaTTL, soaMin uint32) Entry {
 }
 
 func TestPutGetHit(t *testing.T) {
-	c := New("c1", Policy{})
+	c, reg := countedCache(Policy{})
 	c.Put(q("a.example"), aEntry("a.example", 300), _epoch)
 	e, ok := c.Get(q("a.example"), _epoch.Add(10*time.Second))
 	if !ok {
@@ -46,24 +60,23 @@ func TestPutGetHit(t *testing.T) {
 	if e.Records[0].TTL != 290 {
 		t.Errorf("decayed TTL = %d, want 290", e.Records[0].TTL)
 	}
-	s := c.SnapshotStats()
-	if s.Hits != 1 || s.Misses != 0 {
-		t.Errorf("stats = %+v", s)
+	if hits, misses := count(reg, "hits"), count(reg, "misses"); hits != 1 || misses != 0 {
+		t.Errorf("hits = %d, misses = %d, want 1, 0", hits, misses)
 	}
 }
 
 func TestGetMiss(t *testing.T) {
-	c := New("c1", Policy{})
+	c, reg := countedCache(Policy{})
 	if _, ok := c.Get(q("missing.example"), _epoch); ok {
 		t.Fatal("unexpected hit")
 	}
-	if s := c.SnapshotStats(); s.Misses != 1 {
-		t.Errorf("stats = %+v", s)
+	if got := count(reg, "misses"); got != 1 {
+		t.Errorf("misses = %d, want 1", got)
 	}
 }
 
 func TestExpiry(t *testing.T) {
-	c := New("c1", Policy{})
+	c, reg := countedCache(Policy{})
 	c.Put(q("a.example"), aEntry("a.example", 60), _epoch)
 	if _, ok := c.Get(q("a.example"), _epoch.Add(59*time.Second)); !ok {
 		t.Error("fresh entry missed")
@@ -71,9 +84,8 @@ func TestExpiry(t *testing.T) {
 	if _, ok := c.Get(q("a.example"), _epoch.Add(60*time.Second)); ok {
 		t.Error("expired entry hit")
 	}
-	s := c.SnapshotStats()
-	if s.Expired != 1 {
-		t.Errorf("Expired = %d", s.Expired)
+	if got := count(reg, "expired"); got != 1 {
+		t.Errorf("expired = %d", got)
 	}
 	if c.Len() != 0 {
 		t.Errorf("Len = %d after expiry", c.Len())
@@ -135,7 +147,7 @@ func TestNegativeTTLPolicyCaps(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New("c1", Policy{Capacity: 3})
+	c, reg := countedCache(Policy{Capacity: 3})
 	for i := 0; i < 3; i++ {
 		c.Put(q(fmt.Sprintf("n%d.example", i)), aEntry("x.example", 300), _epoch)
 	}
@@ -153,8 +165,8 @@ func TestLRUEviction(t *testing.T) {
 	if _, ok := c.Get(q("n0.example"), _epoch); !ok {
 		t.Error("recently used n0 evicted")
 	}
-	if s := c.SnapshotStats(); s.Evictions != 1 {
-		t.Errorf("Evictions = %d", s.Evictions)
+	if got := count(reg, "evictions"); got != 1 {
+		t.Errorf("evictions = %d", got)
 	}
 }
 
@@ -172,7 +184,7 @@ func TestPutReplaces(t *testing.T) {
 }
 
 func TestContainsDoesNotPerturb(t *testing.T) {
-	c := New("c1", Policy{})
+	c, reg := countedCache(Policy{})
 	c.Put(q("a.example"), aEntry("a.example", 300), _epoch)
 	if !c.Contains(q("a.example"), _epoch) {
 		t.Error("Contains = false for cached entry")
@@ -183,8 +195,8 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 	if c.Contains(q("a.example"), _epoch.Add(301*time.Second)) {
 		t.Error("Contains = true for expired entry")
 	}
-	if s := c.SnapshotStats(); s.Hits != 0 || s.Misses != 0 {
-		t.Errorf("Contains perturbed stats: %+v", s)
+	if hits, misses := count(reg, "hits"), count(reg, "misses"); hits != 0 || misses != 0 {
+		t.Errorf("Contains perturbed counters: hits = %d, misses = %d", hits, misses)
 	}
 }
 
@@ -357,7 +369,7 @@ func BenchmarkCacheGetHot(b *testing.B) {
 // decayed to TTL 0 as fresh hits. The enforced semantics: an entry
 // expires no later than the moment its decayed record TTL reaches 0.
 func TestGetExpiresAtDecayedTTLZero(t *testing.T) {
-	c := New("c1", Policy{MinTTL: 1500 * time.Millisecond})
+	c, reg := countedCache(Policy{MinTTL: 1500 * time.Millisecond})
 	c.Put(q("a.example"), aEntry("a.example", 1), _epoch)
 
 	// Within the whole-second lifetime the record is served with TTL 1.
@@ -374,8 +386,8 @@ func TestGetExpiresAtDecayedTTLZero(t *testing.T) {
 	if e, ok := c.Get(q("a.example"), _epoch.Add(1200*time.Millisecond)); ok {
 		t.Fatalf("TTL-0 record served as a fresh hit: %+v", e.Records)
 	}
-	if s := c.SnapshotStats(); s.Expired != 1 {
-		t.Errorf("Expired = %d, want 1", s.Expired)
+	if got := count(reg, "expired"); got != 1 {
+		t.Errorf("expired = %d, want 1", got)
 	}
 }
 

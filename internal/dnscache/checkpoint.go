@@ -42,13 +42,3 @@ func (c *Cache) RestoreItems(items []ItemState) {
 		c.items[st.Key] = it
 	}
 }
-
-// RestoreStats overwrites the cache's local counters with a captured
-// value. The registry-side counters are restored separately via the
-// metrics snapshot; keeping both in the checkpoint keeps SnapshotStats
-// and the registry in agreement after a restore.
-func (c *Cache) RestoreStats(s Stats) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = s
-}

@@ -79,36 +79,3 @@ func (n *Network) RestoreSources(states []SourceState) error {
 	}
 	return nil
 }
-
-// RestoreStats overwrites the network's counters with a previously
-// captured Stats value. The totals land in shard 0 and every other shard
-// is zeroed; the per-shard split is an implementation detail invisible to
-// readers (only the SnapshotStats fold is observable), so restoring the
-// fold rather than the split keeps the checkpoint format independent of
-// statShardCount.
-func (n *Network) RestoreStats(s Stats) {
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.exchanges.Store(0)
-		sh.lost.Store(0)
-		sh.bytesSent.Store(0)
-		sh.bytesRecvd.Store(0)
-		sh.servfail.Store(0)
-		sh.refused.Store(0)
-		sh.truncated.Store(0)
-		sh.duplicated.Store(0)
-		sh.late.Store(0)
-		sh.outage.Store(0)
-	}
-	sh := &n.shards[0]
-	sh.exchanges.Store(s.Exchanges)
-	sh.lost.Store(s.Lost)
-	sh.bytesSent.Store(s.BytesSent)
-	sh.bytesRecvd.Store(s.BytesRecvd)
-	sh.servfail.Store(s.Faults.ServFail)
-	sh.refused.Store(s.Faults.Refused)
-	sh.truncated.Store(s.Faults.Truncated)
-	sh.duplicated.Store(s.Faults.Duplicated)
-	sh.late.Store(s.Faults.Late)
-	sh.outage.Store(s.Faults.Outage)
-}

@@ -5,58 +5,6 @@ import (
 	"testing"
 )
 
-// TestSnapshotStatsFoldOrderIndependent asserts the sharded counter fold
-// is a pure sum: the same totals distributed across the stat shards in
-// different layouts fold to the same Stats value. This is the property
-// checkpoint restore relies on — RestoreStats parks everything in shard
-// 0, and later snapshots must still match a live run whose counts were
-// spread across all 16 shards.
-func TestSnapshotStatsFoldOrderIndependent(t *testing.T) {
-	layoutA := New(1)
-	layoutB := New(1)
-	// 100 exchanges, 7 lost, 40 servfails — striped forward in A,
-	// backward in B, so every shard holds different values in each.
-	for i := 0; i < statShardCount; i++ {
-		a, b := &layoutA.shards[i], &layoutB.shards[statShardCount-1-i]
-		a.exchanges.Store(int64(i * 2))
-		b.exchanges.Store(int64(i * 2))
-		a.lost.Store(int64(i % 3))
-		b.lost.Store(int64(i % 3))
-		a.servfail.Store(int64(statShardCount - i))
-		b.servfail.Store(int64(statShardCount - i))
-	}
-	sa, sb := layoutA.SnapshotStats(), layoutB.SnapshotStats()
-	if sa != sb {
-		t.Errorf("fold depends on shard layout: %+v vs %+v", sa, sb)
-	}
-
-	restored := New(1)
-	restored.RestoreStats(sa)
-	if got := restored.SnapshotStats(); got != sa {
-		t.Errorf("restore-then-fold drifted: %+v, want %+v", got, sa)
-	}
-}
-
-// TestRestoreStatsReplaces asserts RestoreStats overwrites prior
-// counters instead of accumulating — restoring twice, or onto a network
-// that already ran traffic, must land exactly on the snapshot.
-func TestRestoreStatsReplaces(t *testing.T) {
-	n := New(1)
-	for i := range n.shards {
-		n.shards[i].exchanges.Store(5)
-		n.shards[i].outage.Store(2)
-	}
-	want := Stats{Exchanges: 3, BytesSent: 12, Faults: FaultStats{Late: 1}}
-	n.RestoreStats(want)
-	if got := n.SnapshotStats(); got != want {
-		t.Errorf("first restore: %+v, want %+v", got, want)
-	}
-	n.RestoreStats(want)
-	if got := n.SnapshotStats(); got != want {
-		t.Errorf("second restore accumulated: %+v, want %+v", got, want)
-	}
-}
-
 // TestCheckpointSourcesCanonicalOrder asserts the source dump is sorted
 // by address (and each flow list by destination) regardless of creation
 // order — the canonical-bytes property snapshot comparison rests on.

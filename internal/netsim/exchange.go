@@ -35,9 +35,7 @@ const (
 )
 
 // addrKey folds an address into the 64-bit partition key the sharded
-// scheduler hashes lanes from — the same lo^hi fold srcRand uses for its
-// stat shard, so a source's exchanges, stats and RNG stream all key off
-// one value.
+// scheduler hashes lanes from.
 //
 //cdelint:hotpath
 func addrKey(a netip.Addr) uint64 {
@@ -192,7 +190,7 @@ func (st *exchangeState) loseToTimeout() {
 	st.sched.ScheduleAt(st.start.Add(st.cfg.timeout), st, opTimeout)
 }
 
-// launch is the query-side stage, on the home lane: stats, routing,
+// launch is the query-side stage, on the home lane: routing,
 // fault-flow state, wire packing and the outbound loss/jitter draws, in
 // exactly the order the blocking Exchange performed them.
 //
@@ -207,13 +205,12 @@ func (st *exchangeState) launch(now des.Time) {
 	st.cfg = cfg
 	st.start = now
 
-	// The source stream carries both the RNG and the stat shard; creating
-	// it consumes no draws, so hoisting it above the route lookup leaves
-	// every subsequent draw identical to the historical order.
+	// Creating the source stream consumes no draws, so hoisting it above
+	// the route lookup leaves every subsequent draw identical to the
+	// historical order.
 	//cdelint:allow hotalloc per-source RNG stream is created once and cached in a sync.Map
 	lr := n.srcRand(st.c.src)
 	st.lr = lr
-	lr.shard.exchanges.Add(1)
 
 	h, ok := n.lookup(st.dst)
 	if !ok {
@@ -257,15 +254,13 @@ func (st *exchangeState) launch(now des.Time) {
 		return
 	}
 	st.wire = wire
-	lr.shard.bytesSent.Add(int64(len(wire)))
 	cfg.mSent.Inc()
 
 	// Transient outage: the destination is down (operator SetDown or a
 	// scheduled window); the query vanishes and the client times out.
 	if h.down.Load() || (dstFP != nil && inOutage(dstFP.Outages, st.flowIdx)) {
-		lr.shard.lost.Add(1)
 		cfg.mLost.Inc()
-		noteFault(st.ctx, cfg, lr.shard, FaultOutage, st.c.src, st.dst)
+		noteFault(st.ctx, cfg, FaultOutage, st.c.src, st.dst)
 		st.loseToTimeout()
 		return
 	}
@@ -277,7 +272,6 @@ func (st *exchangeState) launch(now des.Time) {
 	// circuit matters: with no faults attached this is exactly the
 	// historical two-draw-max Bernoulli pattern.
 	if lr.lostPacket(st.fs, srcProfile, true) || lr.lostPacket(st.fs, h.profile, false) {
-		lr.shard.lost.Add(1)
 		cfg.mLost.Inc()
 		st.loseToTimeout()
 		return
@@ -311,10 +305,10 @@ func (st *exchangeState) deliver(now des.Time) {
 		switch u := lr.roll(); {
 		case u < dstFP.ServFailRate:
 			injected, injectedOK = dnswire.RCodeServFail, true
-			noteFault(st.ctx, cfg, lr.shard, FaultServFail, st.c.src, st.dst)
+			noteFault(st.ctx, cfg, FaultServFail, st.c.src, st.dst)
 		case u < dstFP.ServFailRate+dstFP.RefusedRate:
 			injected, injectedOK = dnswire.RCodeRefused, true
-			noteFault(st.ctx, cfg, lr.shard, FaultRefused, st.c.src, st.dst)
+			noteFault(st.ctx, cfg, FaultRefused, st.c.src, st.dst)
 		}
 		if injectedOK {
 			//cdelint:allow hotalloc injected-fault path; the synthesized response is the product
@@ -349,7 +343,7 @@ func (st *exchangeState) Respond(now des.Time, resp *dnswire.Message, err error)
 	// streams never duplicate. The duplicate overlaps the original in real
 	// time, so no extra latency is charged.
 	if dstFP != nil && dstFP.DuplicateRate > 0 && !st.c.tcp && lr.roll() < dstFP.DuplicateRate {
-		noteFault(st.ctx, cfg, lr.shard, FaultDuplicate, st.c.src, st.dst)
+		noteFault(st.ctx, cfg, FaultDuplicate, st.c.src, st.dst)
 		h.handler.ServeDNSEvent(st.ctx, st.dstSched, st.c.src, st.decoded, discardResponder{})
 	}
 	st.finishServe(now, resp)
@@ -368,7 +362,7 @@ func (st *exchangeState) finishServe(now des.Time, resp *dnswire.Message) {
 	// gains the TC bit, pushing TCP-capable clients to re-ask via
 	// Conn.TCP / udpnet's FallbackTCP. TCP exchanges are immune.
 	if dstFP != nil && dstFP.TruncateRate > 0 && !st.c.tcp && lr.roll() < dstFP.TruncateRate {
-		noteFault(st.ctx, cfg, lr.shard, FaultTruncate, st.c.src, st.dst)
+		noteFault(st.ctx, cfg, FaultTruncate, st.c.src, st.dst)
 		//cdelint:allow hotalloc injected-truncation path; the synthesized response is the product
 		tr := dnswire.NewResponse(st.decoded)
 		tr.Header.RCode = resp.Header.RCode
@@ -390,7 +384,6 @@ func (st *exchangeState) finishServe(now des.Time, resp *dnswire.Message) {
 	// The response is a *received* packet; the pre-DES code bumped the
 	// sent counter here a second time, double-counting every clean
 	// exchange's traffic.
-	lr.shard.bytesRecvd.Add(int64(len(respWire)))
 	cfg.mRecvd.Inc()
 
 	st.dstSched.SendTo(st.homeLane, now, st, opReturn)
@@ -411,7 +404,6 @@ func (st *exchangeState) returnPath() {
 	// Response packet subject to loss as well; the client's timer fires
 	// at start+timeout regardless of how long the server worked.
 	if lr.lostPacket(st.fs, st.srcProfile, true) || lr.lostPacket(st.fs, h.profile, false) {
-		lr.shard.lost.Add(1)
 		cfg.mLost.Inc()
 		st.loseToTimeout()
 		return
@@ -421,7 +413,7 @@ func (st *exchangeState) returnPath() {
 	// so the client sees a timeout (and pays for it) even though the
 	// server did all its work.
 	if dstFP != nil && dstFP.LateRate > 0 && lr.roll() < dstFP.LateRate {
-		noteFault(st.ctx, cfg, lr.shard, FaultLate, st.c.src, st.dst)
+		noteFault(st.ctx, cfg, FaultLate, st.c.src, st.dst)
 		st.loseToTimeout()
 		return
 	}

@@ -359,7 +359,8 @@ func inOutage(windows []OutageWindow, n int) bool {
 // site that must learn about it.
 type FaultKind string
 
-// Fault kinds, in the order FaultStats counts them.
+// Fault kinds; each is counted in a "netsim.faults.*" registry counter
+// (see SetMetrics).
 const (
 	FaultServFail  FaultKind = "servfail"
 	FaultRefused   FaultKind = "refused"
@@ -368,14 +369,3 @@ const (
 	FaultLate      FaultKind = "late"
 	FaultOutage    FaultKind = "outage"
 )
-
-// FaultStats counts injected faults, mirrored into Stats for tests that
-// run without a metrics registry.
-type FaultStats struct {
-	ServFail   int64
-	Refused    int64
-	Truncated  int64
-	Duplicated int64
-	Late       int64
-	Outage     int64
-}

@@ -9,9 +9,19 @@ import (
 	"time"
 
 	"dnscde/internal/dnswire"
+	"dnscde/internal/metrics"
 	"dnscde/internal/netsim/des"
 	"dnscde/internal/trace"
 )
+
+// countedNetwork returns a network with a fresh registry attached, so a
+// test can read the packet and fault counters back.
+func countedNetwork(seed int64) (*Network, *metrics.Registry) {
+	n := New(seed)
+	reg := metrics.New()
+	n.SetMetrics(reg)
+	return n, reg
+}
 
 // exchangeN runs k exchanges over conn with distinct query names and
 // returns how many succeeded.
@@ -125,7 +135,7 @@ func TestBurstLossStationaryRate(t *testing.T) {
 
 func TestServFailRefusedInjection(t *testing.T) {
 	handlerCalls := 0
-	n := New(5)
+	n, reg := countedNetwork(5)
 	n.Register(testServer, LinkProfile{Faults: &FaultProfile{ServFailRate: 1}},
 		HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 			handlerCalls++
@@ -151,8 +161,8 @@ func TestServFailRefusedInjection(t *testing.T) {
 	if kinds := tr.Kinds(); len(kinds) == 0 || kinds[0] != "fault" {
 		t.Errorf("trace kinds = %v, want a fault event", kinds)
 	}
-	if n.SnapshotStats().Faults.ServFail != 1 {
-		t.Errorf("Faults.ServFail = %d, want 1", n.SnapshotStats().Faults.ServFail)
+	if got := reg.Snapshot().Counter("netsim.faults.servfail"); got != 1 {
+		t.Errorf("faults.servfail = %d, want 1", got)
 	}
 
 	n.Register(testServer, LinkProfile{Faults: &FaultProfile{RefusedRate: 1}}, echoHandler())
@@ -166,7 +176,7 @@ func TestServFailRefusedInjection(t *testing.T) {
 }
 
 func TestTruncationAndTCPImmunity(t *testing.T) {
-	n := New(9)
+	n, reg := countedNetwork(9)
 	n.Register(testServer, LinkProfile{OneWay: 5 * time.Millisecond, Faults: &FaultProfile{TruncateRate: 1}},
 		HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 			resp := dnswire.NewResponse(q)
@@ -203,13 +213,13 @@ func TestTruncationAndTCPImmunity(t *testing.T) {
 	if tcpRTT <= udpRTT {
 		t.Errorf("TCP rtt = %v, want > UDP rtt %v (handshake round trip)", tcpRTT, udpRTT)
 	}
-	if got := n.SnapshotStats().Faults.Truncated; got != 1 {
-		t.Errorf("Faults.Truncated = %d, want 1 (TCP path must not count)", got)
+	if got := reg.Snapshot().Counter("netsim.faults.truncated"); got != 1 {
+		t.Errorf("faults.truncated = %d, want 1 (TCP path must not count)", got)
 	}
 }
 
 func TestScheduledOutageWindow(t *testing.T) {
-	n := New(3)
+	n, reg := countedNetwork(3)
 	n.Register(testServer, LinkProfile{Faults: &FaultProfile{Outages: []OutageWindow{{Start: 2, End: 4}}}}, echoHandler())
 	conn := n.Bind(testClient)
 
@@ -224,8 +234,8 @@ func TestScheduledOutageWindow(t *testing.T) {
 			t.Fatalf("exchange %d ok=%v, want %v (outage window [2,4))", i, results[i], want[i])
 		}
 	}
-	if got := n.SnapshotStats().Faults.Outage; got != 2 {
-		t.Errorf("Faults.Outage = %d, want 2", got)
+	if got := reg.Snapshot().Counter("netsim.faults.outage"); got != 2 {
+		t.Errorf("faults.outage = %d, want 2", got)
 	}
 	// The window is per-flow: a different source has its own counter and
 	// hits the same schedule independently.
@@ -283,7 +293,7 @@ func TestDuplicateDelivery(t *testing.T) {
 
 func TestLateResponseTimesOutButServes(t *testing.T) {
 	handlerCalls := 0
-	n := New(6)
+	n, reg := countedNetwork(6)
 	n.SetTimeout(time.Second)
 	n.Register(testServer, LinkProfile{Faults: &FaultProfile{LateRate: 1}},
 		eventFunc(func(_ context.Context, sched *des.Scheduler, _ netip.Addr, q *dnswire.Message, r Responder) {
@@ -304,8 +314,8 @@ func TestLateResponseTimesOutButServes(t *testing.T) {
 	if total != time.Second {
 		t.Errorf("total = %v, want the bare timeout", total)
 	}
-	if got := n.SnapshotStats().Faults.Late; got != 1 {
-		t.Errorf("Faults.Late = %d, want 1", got)
+	if got := reg.Snapshot().Counter("netsim.faults.late"); got != 1 {
+		t.Errorf("faults.late = %d, want 1", got)
 	}
 }
 
@@ -313,8 +323,8 @@ func TestLateResponseTimesOutButServes(t *testing.T) {
 // with the same seed and expects identical outcomes, including fault
 // injections — the property TestWorkersInvariance relies on.
 func TestFaultDeterminism(t *testing.T) {
-	run := func() (Stats, int) {
-		n := New(2017)
+	run := func() (string, int) {
+		n, reg := countedNetwork(2017)
 		fp := &FaultProfile{
 			BurstLoss:    BurstLoss(0.11, 4),
 			ServFailRate: 0.05,
@@ -324,12 +334,12 @@ func TestFaultDeterminism(t *testing.T) {
 		}
 		n.Register(testServer, LinkProfile{Jitter: time.Millisecond, Faults: fp}, echoHandler())
 		ok := exchangeN(t, n.Bind(testClient), testServer, 500)
-		return n.SnapshotStats(), ok
+		return reg.Snapshot().Format(), ok
 	}
 	s1, ok1 := run()
 	s2, ok2 := run()
 	if s1 != s2 || ok1 != ok2 {
-		t.Errorf("fault injection not deterministic:\n%+v ok=%d\n%+v ok=%d", s1, ok1, s2, ok2)
+		t.Errorf("fault injection not deterministic:\n%s ok=%d\n%s ok=%d", s1, ok1, s2, ok2)
 	}
 }
 

@@ -130,9 +130,10 @@ type netConfig struct {
 	// settable via SetClientProfile.
 	clientProfile LinkProfile
 
-	// metrics, when non-nil, mirrors packet-level events into the
-	// accounting registry; the handles are pre-created so the hot path
-	// pays one nil check per event.
+	// metrics, when non-nil, is the accounting registry every packet and
+	// fault event is counted in — the network keeps no other counters.
+	// The handles are bound in SetMetrics so the hot path pays one nil
+	// check per event; nil handles are no-ops.
 	metrics     *metrics.Registry
 	mSent       *metrics.Counter
 	mRecvd      *metrics.Counter
@@ -144,30 +145,6 @@ type netConfig struct {
 	mDuplicated *metrics.Counter
 	mLate       *metrics.Counter
 	mOutage     *metrics.Counter
-}
-
-// statShardCount is the number of counter shards; a power of two so the
-// shard index is a mask of the source-address hash.
-const statShardCount = 16
-
-// statShard is one shard of the network counters. Every field is an
-// atomic, and the struct is padded to two cache lines so concurrent
-// sources hashing to different shards never false-share. Exchanges update
-// their source's shard with plain atomic adds; SnapshotStats folds all
-// shards into a Stats value. This replaces the per-exchange mutex
-// acquisitions the original Exchange paid four times per round trip.
-type statShard struct {
-	exchanges  atomic.Int64
-	lost       atomic.Int64
-	bytesSent  atomic.Int64
-	bytesRecvd atomic.Int64
-	servfail   atomic.Int64
-	refused    atomic.Int64
-	truncated  atomic.Int64
-	duplicated atomic.Int64
-	late       atomic.Int64
-	outage     atomic.Int64
-	_          [48]byte // pad 10×8 bytes up to 128 (two cache lines)
 }
 
 // Network is a simulated Internet. The zero value is not usable; use New.
@@ -195,21 +172,7 @@ type Network struct {
 
 	cfg atomic.Pointer[netConfig]
 
-	shards [statShardCount]statShard
-
 	linkRTTHists sync.Map // netip.Addr -> *metrics.Histogram
-}
-
-// Stats counts network-level events, used by tests and by the carpet-
-// bombing experiment to confirm configured loss rates.
-type Stats struct {
-	Exchanges  int64
-	Lost       int64
-	BytesSent  int64
-	BytesRecvd int64
-	// Faults counts injected faults by kind; always maintained, registry
-	// or not, so tests can assert on injection without metrics plumbing.
-	Faults FaultStats
 }
 
 // New creates an empty network with deterministic randomness: seed fixes
@@ -232,9 +195,6 @@ type lockedRand struct {
 	// position so a world snapshot can capture — and a restore replay —
 	// exactly how many values this source has drawn.
 	src *detpar.CountingSource
-	// shard is the stat shard this source's exchanges account into,
-	// cached here so the hot path pays the address hash exactly once.
-	shard *statShard
 	// flows holds per-destination fault state (exchange counters and
 	// Gilbert–Elliott chain positions); nil until a faulted link is used.
 	flows map[netip.Addr]*flowState
@@ -270,11 +230,7 @@ func (n *Network) srcRand(src netip.Addr) *lockedRand {
 	lo := binary.BigEndian.Uint64(b[:8])
 	hi := binary.BigEndian.Uint64(b[8:])
 	cs := detpar.NewCountingSource(detpar.Derive(n.seed, lo, hi))
-	lr := &lockedRand{
-		rng:   rand.New(cs),
-		src:   cs,
-		shard: &n.shards[(lo^hi)&(statShardCount-1)],
-	}
+	lr := &lockedRand{rng: rand.New(cs), src: cs}
 	actual, _ := n.srcRNGs.LoadOrStore(src, lr)
 	return actual.(*lockedRand)
 }
@@ -282,8 +238,10 @@ func (n *Network) srcRand(src netip.Addr) *lockedRand {
 // SetMetrics attaches an accounting registry: every subsequent exchange
 // counts query packets under "netsim.packets.sent", delivered responses
 // under "netsim.packets.recvd", losses under "netsim.packets.lost",
-// retransmissions under "netsim.retries", and records per-destination
-// round-trip times in "netsim.rtt_us.<dst>" histograms (microseconds).
+// retransmissions under "netsim.retries", injected faults under
+// "netsim.faults.*", and records per-destination round-trip times in
+// "netsim.rtt_us.<dst>" histograms (microseconds). The registry is the
+// network's only counter store: without one, events are not counted.
 // A nil registry detaches instrumentation.
 func (n *Network) SetMetrics(reg *metrics.Registry) {
 	n.mu.Lock()
@@ -386,28 +344,6 @@ func (n *Network) Registered(addr netip.Addr) bool {
 	return ok
 }
 
-// SnapshotStats folds the per-shard counters into one Stats value. The
-// fold reads each shard atomically; a snapshot taken while exchanges are
-// in flight is a consistent lower bound, and one taken at quiescence is
-// exact — the same contract the old mutex-guarded struct offered.
-func (n *Network) SnapshotStats() Stats {
-	var s Stats
-	for i := range n.shards {
-		sh := &n.shards[i]
-		s.Exchanges += sh.exchanges.Load()
-		s.Lost += sh.lost.Load()
-		s.BytesSent += sh.bytesSent.Load()
-		s.BytesRecvd += sh.bytesRecvd.Load()
-		s.Faults.ServFail += sh.servfail.Load()
-		s.Faults.Refused += sh.refused.Load()
-		s.Faults.Truncated += sh.truncated.Load()
-		s.Faults.Duplicated += sh.duplicated.Load()
-		s.Faults.Late += sh.late.Load()
-		s.Faults.Outage += sh.outage.Load()
-	}
-	return s
-}
-
 // lookup returns the host at addr. It reads the immutable host view —
 // a plain map keyed by the concrete address type — so the per-exchange
 // route lookup neither locks nor boxes.
@@ -506,30 +442,24 @@ var scratchPool = sync.Pool{
 	},
 }
 
-// noteFault records one injected fault in the always-on shard mirror, the
-// metrics registry (when attached) and the context's trace (when present).
-// The switch covers every FaultKind member; the exhaustive analyzer keeps
-// it that way when a new kind is added.
-func noteFault(ctx context.Context, cfg *netConfig, shard *statShard, kind FaultKind, src, dst netip.Addr) {
+// noteFault records one injected fault in the metrics registry (when
+// attached) and the context's trace (when present). The switch covers
+// every FaultKind member; the exhaustive analyzer keeps it that way when
+// a new kind is added.
+func noteFault(ctx context.Context, cfg *netConfig, kind FaultKind, src, dst netip.Addr) {
 	var ctr *metrics.Counter
 	switch kind {
 	case FaultServFail:
-		shard.servfail.Add(1)
 		ctr = cfg.mServFail
 	case FaultRefused:
-		shard.refused.Add(1)
 		ctr = cfg.mRefused
 	case FaultTruncate:
-		shard.truncated.Add(1)
 		ctr = cfg.mTruncated
 	case FaultDuplicate:
-		shard.duplicated.Add(1)
 		ctr = cfg.mDuplicated
 	case FaultLate:
-		shard.late.Add(1)
 		ctr = cfg.mLate
 	case FaultOutage:
-		shard.outage.Add(1)
 		ctr = cfg.mOutage
 	}
 	ctr.Inc()

@@ -185,6 +185,8 @@ func TestUnregister(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	n := New(1)
+	reg := metrics.New()
+	n.SetMetrics(reg)
 	n.Register(testServer, LinkProfile{}, echoHandler())
 	conn := n.Bind(testClient)
 	for i := 0; i < 3; i++ {
@@ -192,15 +194,15 @@ func TestStatsCounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := n.SnapshotStats()
-	if s.Exchanges != 3 {
-		t.Errorf("Exchanges = %d, want 3", s.Exchanges)
+	snap := reg.Snapshot()
+	if got := snap.Counter("netsim.packets.sent"); got != 3 {
+		t.Errorf("packets.sent = %d, want 3", got)
 	}
-	if s.BytesSent == 0 || s.BytesRecvd == 0 {
-		t.Error("byte counters not incremented")
+	if got := snap.Counter("netsim.packets.recvd"); got != 3 {
+		t.Errorf("packets.recvd = %d, want 3", got)
 	}
-	if s.Lost != 0 {
-		t.Errorf("Lost = %d, want 0", s.Lost)
+	if got := snap.Counter("netsim.packets.lost"); got != 0 {
+		t.Errorf("packets.lost = %d, want 0", got)
 	}
 }
 
@@ -241,6 +243,8 @@ func TestDeterministicReplay(t *testing.T) {
 
 func TestConcurrentExchanges(t *testing.T) {
 	n := New(5)
+	reg := metrics.New()
+	n.SetMetrics(reg)
 	n.Register(testServer, LinkProfile{Jitter: time.Millisecond, Loss: 0.01}, echoHandler())
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
@@ -258,8 +262,8 @@ func TestConcurrentExchanges(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := n.SnapshotStats().Exchanges; got != 64*20 {
-		t.Errorf("Exchanges = %d, want %d", got, 64*20)
+	if got := reg.Snapshot().Counter("netsim.packets.sent"); got != 64*20 {
+		t.Errorf("packets.sent = %d, want %d", got, 64*20)
 	}
 }
 

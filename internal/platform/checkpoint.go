@@ -9,13 +9,13 @@ import (
 // CheckpointState is the serializable mutable state of one platform,
 // excluding its caches (checkpointed individually per cache): the load-
 // balancer chain position, the egress round-robin cursor and RNG stream
-// position, the per-cache down flags, and the ground-truth counters.
+// position, and the per-cache down flags. Its counters live in the
+// metrics registry and are checkpointed with it.
 type CheckpointState struct {
 	Selector loadbal.State
 	EgressRR int
 	RNGDraws uint64
 	Down     []bool
-	Stats    PlatformStats
 }
 
 // Checkpoint captures the platform's mutable state. Must be called at a
@@ -32,7 +32,6 @@ func (p *Platform) Checkpoint() (CheckpointState, error) {
 		EgressRR: p.egressRR,
 		RNGDraws: p.rngSrc.Draws(),
 		Down:     append([]bool(nil), p.down...),
-		Stats:    p.stats,
 	}, nil
 }
 
@@ -52,6 +51,5 @@ func (p *Platform) RestoreCheckpoint(st CheckpointState) error {
 	p.egressRR = st.EgressRR
 	p.rngSrc.SkipTo(st.RNGDraws)
 	copy(p.down, st.Down)
-	p.stats = st.Stats
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"dnscde/internal/dnswire"
 	"dnscde/internal/loadbal"
+	"dnscde/internal/metrics"
 	"dnscde/internal/netsim"
 	"dnscde/internal/zone"
 )
@@ -18,9 +19,11 @@ import (
 // that counters stay consistent and no probe is lost or duplicated.
 func TestConcurrentClients(t *testing.T) {
 	w := buildWorld(t, 40)
+	reg := metrics.New()
 	p := w.newPlatform(t, func(c *Config) {
 		c.CacheCount = 6
 		c.Selector = loadbal.NewRandom(11)
+		c.Metrics = reg
 	})
 	ingress := p.Config().IngressIPs[0]
 
@@ -64,15 +67,15 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := p.SnapshotStats()
-	if s.Queries != workers*perWorker {
-		t.Errorf("Queries = %d, want %d", s.Queries, workers*perWorker)
+	queries := count(reg, p, "queries")
+	if queries != workers*perWorker {
+		t.Errorf("queries = %d, want %d", queries, workers*perWorker)
 	}
-	if s.CacheHits+s.CacheMisses != s.Queries {
-		t.Errorf("hits %d + misses %d != queries %d", s.CacheHits, s.CacheMisses, s.Queries)
+	if hits, misses := count(reg, p, "cache_hits"), count(reg, p, "cache_misses"); hits+misses != queries {
+		t.Errorf("hits %d + misses %d != queries %d", hits, misses, queries)
 	}
-	if s.UpstreamFail != 0 || s.Refused != 0 {
-		t.Errorf("unexpected failures: %+v", s)
+	if fails, refused := count(reg, p, "upstream_fail"), count(reg, p, "refused"); fails != 0 || refused != 0 {
+		t.Errorf("unexpected failures: upstream_fail = %d, refused = %d", fails, refused)
 	}
 }
 

@@ -129,7 +129,6 @@ func (qe *queryEv) stageIngress() bool {
 		return true
 	}
 	qe.q = q
-	p.count(func(s *PlatformStats) { s.Queries++ })
 	p.mQueries.Inc()
 
 	resp := dnswire.NewResponse(qe.query)
@@ -137,7 +136,6 @@ func (qe *queryEv) stageIngress() bool {
 	qe.resp = resp
 
 	if !p.allowed(q.Name) {
-		p.count(func(s *PlatformStats) { s.Refused++ })
 		p.mRefused.Inc()
 		resp.Header.RCode = dnswire.RCodeRefused
 		return true
@@ -149,7 +147,6 @@ func (qe *queryEv) stageIngress() bool {
 	cluster := p.clusterFor(qe.ingress)
 	if len(cluster) == 0 {
 		// Every cache behind this ingress IP is down.
-		p.count(func(s *PlatformStats) { s.UpstreamFail++ })
 		p.mUpstreamFail.Inc()
 		resp.Header.RCode = dnswire.RCodeServFail
 		return true
@@ -169,7 +166,6 @@ func (qe *queryEv) stageIngress() bool {
 func (qe *queryEv) stageCacheLookup() bool {
 	p := qe.p
 	if entry, ok := qe.cache.Get(qe.q, p.cfg.Clock.Now()); ok {
-		p.count(func(s *PlatformStats) { s.CacheHits++ })
 		p.mCacheHits.Inc()
 		trace.Addf(qe.ctx, "cache-hit", "%s answered %s", qe.cache.ID, qe.q)
 		qe.resp = p.entryToResponse(qe.resp, entry)
@@ -179,7 +175,6 @@ func (qe *queryEv) stageCacheLookup() bool {
 		}
 		return true
 	}
-	p.count(func(s *PlatformStats) { s.CacheMisses++ })
 	p.mCacheMisses.Inc()
 	trace.Addf(qe.ctx, "cache-miss", "%s lacks %s", qe.cache.ID, qe.q)
 	return qe.resolve(qe.q)
@@ -197,7 +192,6 @@ func (qe *queryEv) resolved(e dnscache.Entry, err error) bool {
 		return true
 	}
 	if err != nil {
-		p.count(func(s *PlatformStats) { s.UpstreamFail++ })
 		p.mUpstreamFail.Inc()
 		qe.resp.Header.RCode = dnswire.RCodeServFail
 		return true

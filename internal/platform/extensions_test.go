@@ -7,6 +7,7 @@ import (
 
 	"dnscde/internal/dnswire"
 	"dnscde/internal/loadbal"
+	"dnscde/internal/metrics"
 	"dnscde/internal/netsim"
 	"dnscde/internal/trace"
 	"dnscde/internal/zone"
@@ -18,12 +19,14 @@ import (
 func TestForwarderPlatform(t *testing.T) {
 	w := buildWorld(t, 10)
 
+	reg := metrics.New()
 	upstream := w.newPlatform(t, func(c *Config) {
 		c.Name = "upstream"
 		c.CacheCount = 2
 		c.Selector = loadbal.NewRoundRobin()
 		c.IngressIPs = []netip.Addr{netip.MustParseAddr("198.51.100.150")}
 		c.EgressIPs = []netip.Addr{netip.MustParseAddr("198.51.100.250")}
+		c.Metrics = reg
 	})
 	forwarder := w.newPlatform(t, func(c *Config) {
 		c.Name = "forwarder"
@@ -46,9 +49,9 @@ func TestForwarderPlatform(t *testing.T) {
 	}
 	// Both tiers cached the answer: a repeat query is a forwarder-cache
 	// hit and adds no upstream traffic.
-	before := upstream.SnapshotStats().Queries
+	before := count(reg, upstream, "queries")
 	query(t, w, forwarder, "x-1.sub.cache.example.", dnswire.TypeA)
-	if got := upstream.SnapshotStats().Queries; got != before {
+	if got := count(reg, upstream, "queries"); got != before {
 		t.Errorf("upstream saw %d extra queries on forwarder cache hit", got-before)
 	}
 }

@@ -29,24 +29,14 @@ type Platform struct {
 	ingressOf map[netip.Addr]int // ingress IP -> index into cfg.IngressIPs
 	down      []bool             // caches taken out of rotation (§II-B)
 
-	stats PlatformStats
-
-	// Accounting handles, nil (no-op) without a configured registry.
+	// Accounting handles, nil (no-op) without a configured registry; the
+	// registry is the platform's only counter store.
 	mQueries      *metrics.Counter
 	mRecursions   *metrics.Counter
 	mCacheHits    *metrics.Counter
 	mCacheMisses  *metrics.Counter
 	mRefused      *metrics.Counter
 	mUpstreamFail *metrics.Counter
-}
-
-// PlatformStats counts platform-level events, available as ground truth.
-type PlatformStats struct {
-	Queries      int64
-	CacheHits    int64
-	CacheMisses  int64
-	Refused      int64
-	UpstreamFail int64
 }
 
 // New builds a platform from cfg and registers its ingress IPs on n with
@@ -108,13 +98,6 @@ func (p *Platform) Caches() []*dnscache.Cache {
 
 // Config returns a copy of the platform's configuration.
 func (p *Platform) Config() Config { return p.cfg }
-
-// SnapshotStats returns a copy of the platform counters.
-func (p *Platform) SnapshotStats() PlatformStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
 
 // FlushCaches clears every cache (operator intervention between
 // experiment repetitions).
@@ -190,13 +173,6 @@ func (p *Platform) pickEgress(cacheIdx int) netip.Addr {
 		defer p.mu.Unlock()
 		return ips[p.rng.Intn(len(ips))]
 	}
-}
-
-// count increments one stats counter under the lock.
-func (p *Platform) count(f func(*PlatformStats)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f(&p.stats)
 }
 
 // entryToResponse fills resp from a cache entry.

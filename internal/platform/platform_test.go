@@ -13,6 +13,7 @@ import (
 	"dnscde/internal/dnstree"
 	"dnscde/internal/dnswire"
 	"dnscde/internal/loadbal"
+	"dnscde/internal/metrics"
 	"dnscde/internal/netsim"
 	"dnscde/internal/zone"
 )
@@ -92,6 +93,11 @@ func (w *world) newPlatform(t *testing.T, mutate func(*Config)) *Platform {
 	return p
 }
 
+// count reads the platform counter "platform.<event>.<name>" from reg.
+func count(reg *metrics.Registry, p *Platform, event string) int64 {
+	return reg.Snapshot().Counter("platform." + event + "." + p.Config().Name)
+}
+
 // query sends one client query to the platform's first ingress IP.
 func query(t *testing.T, w *world, p *Platform, name string, typ dnswire.Type) (*dnswire.Message, time.Duration) {
 	t.Helper()
@@ -130,7 +136,8 @@ func TestResolveThroughHierarchy(t *testing.T) {
 
 func TestSingleCacheSecondQueryIsHit(t *testing.T) {
 	w := buildWorld(t, 5)
-	p := w.newPlatform(t, nil)
+	reg := metrics.New()
+	p := w.newPlatform(t, func(c *Config) { c.Metrics = reg })
 	query(t, w, p, "x-1.sub.cache.example.", dnswire.TypeA)
 	before := w.child.Log().CountName("x-1.sub.cache.example.")
 	query(t, w, p, "x-1.sub.cache.example.", dnswire.TypeA)
@@ -138,9 +145,8 @@ func TestSingleCacheSecondQueryIsHit(t *testing.T) {
 	if before != 1 || after != 1 {
 		t.Errorf("child saw %d then %d queries, want 1 both times (second from cache)", before, after)
 	}
-	s := p.SnapshotStats()
-	if s.CacheHits != 1 || s.CacheMisses != 1 {
-		t.Errorf("stats = %+v", s)
+	if hits, misses := count(reg, p, "cache_hits"), count(reg, p, "cache_misses"); hits != 1 || misses != 1 {
+		t.Errorf("cache hits = %d, misses = %d, want 1, 1", hits, misses)
 	}
 }
 
@@ -294,8 +300,10 @@ func TestEgressPerCachePinning(t *testing.T) {
 
 func TestAllowedSuffixesRefusesOthers(t *testing.T) {
 	w := buildWorld(t, 5)
+	reg := metrics.New()
 	p := w.newPlatform(t, func(c *Config) {
 		c.AllowedSuffixes = []string{"allowed.example"}
+		c.Metrics = reg
 	})
 	conn := w.net.Bind(clientAddr)
 	resp, _, err := conn.Exchange(context.Background(), dnswire.NewQuery(1, "x-1.sub.cache.example.", dnswire.TypeA), p.Config().IngressIPs[0])
@@ -305,8 +313,8 @@ func TestAllowedSuffixesRefusesOthers(t *testing.T) {
 	if resp.Header.RCode != dnswire.RCodeRefused {
 		t.Errorf("rcode = %v, want REFUSED", resp.Header.RCode)
 	}
-	if s := p.SnapshotStats(); s.Refused != 1 {
-		t.Errorf("stats = %+v", s)
+	if got := count(reg, p, "refused"); got != 1 {
+		t.Errorf("refused = %d, want 1", got)
 	}
 }
 
@@ -358,9 +366,11 @@ func TestIngressClusters(t *testing.T) {
 
 func TestServFailWhenRootsUnreachable(t *testing.T) {
 	w := buildWorld(t, 5)
+	reg := metrics.New()
 	p := w.newPlatform(t, func(c *Config) {
 		c.Roots = []netip.Addr{netip.MustParseAddr("203.0.113.99")} // nobody there
 		c.UpstreamRetries = 1
+		c.Metrics = reg
 	})
 	conn := w.net.Bind(clientAddr)
 	resp, _, err := conn.Exchange(context.Background(), dnswire.NewQuery(1, "x-1.sub.cache.example.", dnswire.TypeA), p.Config().IngressIPs[0])
@@ -370,8 +380,8 @@ func TestServFailWhenRootsUnreachable(t *testing.T) {
 	if resp.Header.RCode != dnswire.RCodeServFail {
 		t.Errorf("rcode = %v, want SERVFAIL", resp.Header.RCode)
 	}
-	if s := p.SnapshotStats(); s.UpstreamFail != 1 {
-		t.Errorf("stats = %+v", s)
+	if got := count(reg, p, "upstream_fail"); got != 1 {
+		t.Errorf("upstream_fail = %d, want 1", got)
 	}
 }
 

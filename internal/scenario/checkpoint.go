@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"dnscde/internal/detpar"
-	"dnscde/internal/metrics"
 	"dnscde/internal/simtest"
 	"dnscde/internal/worldstate"
 )
@@ -58,24 +57,10 @@ func CheckpointTrial(ctx context.Context, s *Scenario, trial, barrier, shards in
 		return nil, fmt.Errorf("scenario: barrier %d out of range [0,%d]", barrier, len(s.Workloads))
 	}
 	seed := TrialSeed(s.Seed, trial)
-	reg := metrics.New()
-	w, err := simtest.New(simtest.Options{Seed: seed, Metrics: reg, Shards: shards})
-	if err != nil {
-		return nil, err
-	}
-	plats, err := s.compileTrial(w, seed)
-	if err != nil {
-		return nil, err
-	}
 	var encoded []byte
-	err = w.RunSequenced(ctx, func(ctx context.Context) error {
+	_, err := s.runWorkloads(ctx, seed, shards, nil, 0, barrier, func(w *simtest.World, done []workloadOut) error {
 		partial := make([]TrialWorkload, 0, barrier)
-		for wi := 0; wi < barrier; wi++ {
-			wd := &s.Workloads[wi]
-			res, err := runWorkload(ctx, w, plats[wd.Platform], wd)
-			if err != nil {
-				return fmt.Errorf("scenario: workload %s on %s: %w", wd.Kind, wd.Platform, err)
-			}
+		for _, res := range done[:barrier] {
 			partial = append(partial, TrialWorkload{
 				Caches:      res.caches,
 				ProbesSent:  res.probesSent,
@@ -92,9 +77,6 @@ func CheckpointTrial(ctx context.Context, s *Scenario, trial, barrier, shards in
 		if err != nil {
 			return fmt.Errorf("scenario: encoding checkpoint state: %w", err)
 		}
-		// The workload loop is the world's only process; between iterations
-		// every lane heap and mailbox is drained, so the quiescence check
-		// inside Snapshot holds by construction here.
 		img, err := w.Snapshot(app)
 		if err != nil {
 			return err
@@ -160,20 +142,10 @@ func (s *Scenario) resumeTrial(ctx context.Context, snapshot []byte, shards int)
 		return trialOut{}, 0, fmt.Errorf("%w: trial %d seed %d, scenario derives %d", worldstate.ErrMismatch, app.Trial, app.Seed, want)
 	}
 
-	reg := metrics.New()
-	w, err := simtest.New(simtest.Options{Seed: app.Seed, Metrics: reg, Shards: shards})
+	out, err := s.runWorkloads(ctx, app.Seed, shards, img, app.Barrier, len(s.Workloads), nil)
 	if err != nil {
 		return trialOut{}, 0, err
 	}
-	plats, err := s.compileTrial(w, app.Seed)
-	if err != nil {
-		return trialOut{}, 0, err
-	}
-	if err := w.Restore(img); err != nil {
-		return trialOut{}, 0, err
-	}
-
-	out := trialOut{workloads: make([]workloadOut, len(s.Workloads))}
 	for i, p := range app.Partial {
 		out.workloads[i] = workloadOut{
 			caches:      p.Caches,
@@ -181,23 +153,6 @@ func (s *Scenario) resumeTrial(ctx context.Context, snapshot []byte, shards int)
 			probeErrors: p.ProbeErrors,
 		}
 	}
-	err = w.RunSequenced(ctx, func(ctx context.Context) error {
-		for wi := app.Barrier; wi < len(s.Workloads); wi++ {
-			wd := &s.Workloads[wi]
-			res, err := runWorkload(ctx, w, plats[wd.Platform], wd)
-			if err != nil {
-				return fmt.Errorf("scenario: workload %s on %s: %w", wd.Kind, wd.Platform, err)
-			}
-			out.workloads[wi] = res
-		}
-		return nil
-	})
-	if err != nil {
-		return trialOut{}, 0, err
-	}
-	snap := reg.Snapshot()
-	out.cost = CostFromSnapshot(snap)
-	out.metrics = snap
 	return out, app.Trial, nil
 }
 

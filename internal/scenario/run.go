@@ -16,6 +16,7 @@ import (
 	"dnscde/internal/platform"
 	"dnscde/internal/simtest"
 	"dnscde/internal/smtpsim"
+	"dnscde/internal/worldstate"
 )
 
 // derive is detpar.Derive, aliased so compile/run share one spelling.
@@ -237,12 +238,22 @@ func (s *Scenario) platformCaches(name string) int {
 	return 0
 }
 
-// runTrial builds one fresh world and executes every workload. The whole
-// trial runs as one event-chained population on the world's scheduler:
-// the workload loop becomes a des.Process, so every probe it issues — and
-// every recursion the target platform performs — interleaves on the
-// world's event-loop lanes.
+// runTrial builds one fresh world and executes every workload.
 func (s *Scenario) runTrial(ctx context.Context, seed int64, shards int) (trialOut, error) {
+	return s.runWorkloads(ctx, seed, shards, nil, 0, len(s.Workloads), nil)
+}
+
+// runWorkloads builds the trial world for seed, overlays img onto it when
+// img is non-nil, and runs workloads [from, to), storing each outcome at
+// its index in out.workloads beside the world's final accounting. The
+// loop runs as one des.Process, so every probe it issues — and every
+// recursion the target platform performs — interleaves on the world's
+// event-loop lanes. When atBarrier is non-nil it runs inside that process
+// after workload to-1, with the outcomes so far: the loop is the world's
+// only process, so a snapshot taken there fails with worldstate.ErrBusy
+// rather than drain events still pending.
+func (s *Scenario) runWorkloads(ctx context.Context, seed int64, shards int, img *worldstate.Image, from, to int,
+	atBarrier func(*simtest.World, []workloadOut) error) (trialOut, error) {
 	reg := metrics.New()
 	w, err := simtest.New(simtest.Options{Seed: seed, Metrics: reg, Shards: shards})
 	if err != nil {
@@ -252,9 +263,14 @@ func (s *Scenario) runTrial(ctx context.Context, seed int64, shards int) (trialO
 	if err != nil {
 		return trialOut{}, err
 	}
+	if img != nil {
+		if err := w.Restore(img); err != nil {
+			return trialOut{}, err
+		}
+	}
 	out := trialOut{workloads: make([]workloadOut, len(s.Workloads))}
 	err = w.RunSequenced(ctx, func(ctx context.Context) error {
-		for wi := range s.Workloads {
+		for wi := from; wi < to; wi++ {
 			wd := &s.Workloads[wi]
 			res, err := runWorkload(ctx, w, plats[wd.Platform], wd)
 			if err != nil {
@@ -262,14 +278,16 @@ func (s *Scenario) runTrial(ctx context.Context, seed int64, shards int) (trialO
 			}
 			out.workloads[wi] = res
 		}
+		if atBarrier != nil {
+			return atBarrier(w, out.workloads)
+		}
 		return nil
 	})
 	if err != nil {
 		return trialOut{}, err
 	}
-	snap := reg.Snapshot()
-	out.cost = CostFromSnapshot(snap)
-	out.metrics = snap
+	out.metrics = reg.Snapshot()
+	out.cost = CostFromSnapshot(out.metrics)
 	return out, nil
 }
 

@@ -40,11 +40,8 @@ func (w *World) Snapshot(app []byte) (*worldstate.Image, error) {
 			NextClient:    w.nextClient,
 			SessionCursor: w.Infra.SessionCursor(),
 		},
-		Network: worldstate.Network{
-			Stats:   w.Net.SnapshotStats(),
-			Sources: w.Net.CheckpointSources(),
-		},
-		App: app,
+		Network: worldstate.Network{Sources: w.Net.CheckpointSources()},
+		App:     app,
 	}
 	for _, p := range w.platforms {
 		st, err := p.Checkpoint()
@@ -53,11 +50,7 @@ func (w *World) Snapshot(app []byte) (*worldstate.Image, error) {
 		}
 		wp := worldstate.Platform{Name: p.Config().Name, State: st}
 		for _, c := range p.Caches() {
-			wp.Caches = append(wp.Caches, worldstate.CacheState{
-				ID:    c.ID,
-				Stats: c.SnapshotStats(),
-				Items: c.CheckpointItems(),
-			})
+			wp.Caches = append(wp.Caches, worldstate.CacheState{ID: c.ID, Items: c.CheckpointItems()})
 		}
 		img.Platforms = append(img.Platforms, wp)
 	}
@@ -90,11 +83,10 @@ func (w *World) Restore(img *worldstate.Image) error {
 	w.nextClient = img.Meta.NextClient
 	w.Infra.RestoreSessionCursor(img.Meta.SessionCursor)
 
-	// Network: RNG stream positions, fault chains, folded counters.
+	// Network: RNG stream positions and fault chains.
 	if err := w.Net.RestoreSources(img.Network.Sources); err != nil {
 		return err
 	}
-	w.Net.RestoreStats(img.Network.Stats)
 
 	// Platforms and caches.
 	for i, p := range w.platforms {
@@ -104,7 +96,6 @@ func (w *World) Restore(img *worldstate.Image) error {
 		}
 		for j, c := range p.Caches() {
 			c.RestoreItems(wp.Caches[j].Items)
-			c.RestoreStats(wp.Caches[j].Stats)
 		}
 	}
 

@@ -10,6 +10,7 @@ import (
 	"dnscde/internal/dnscache"
 	"dnscde/internal/dnstree"
 	"dnscde/internal/dnswire"
+	"dnscde/internal/metrics"
 	"dnscde/internal/netsim"
 	"dnscde/internal/platform"
 	"dnscde/internal/zone"
@@ -60,11 +61,18 @@ func setup(t *testing.T, cacheCount int) (*netsim.Network, *clock.Virtual, *plat
 		Roots:      tree.Roots(),
 		Clock:      clk,
 		Seed:       5,
+		Metrics:    metrics.New(),
 	}, n, netsim.LinkProfile{OneWay: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n, clk, plat, tree
+}
+
+// queries reads the platform's query counter from its registry.
+func queries(p *platform.Platform) int64 {
+	cfg := p.Config()
+	return cfg.Metrics.Snapshot().Counter("platform.queries." + cfg.Name)
 }
 
 func newStub(n *netsim.Network, clk clock.Clock) *Resolver {
@@ -100,7 +108,7 @@ func TestRepeatLookupServedLocally(t *testing.T) {
 	if _, err := r.Lookup(context.Background(), "x-1.sub.cache.example.", dnswire.TypeA); err != nil {
 		t.Fatal(err)
 	}
-	before := plat.SnapshotStats().Queries
+	before := queries(plat)
 	res, err := r.Lookup(context.Background(), "x-1.sub.cache.example.", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +116,7 @@ func TestRepeatLookupServedLocally(t *testing.T) {
 	if !res.FromLocalCache {
 		t.Error("repeat lookup went upstream")
 	}
-	if got := plat.SnapshotStats().Queries; got != before {
+	if got := queries(plat); got != before {
 		t.Errorf("platform saw %d extra queries", got-before)
 	}
 }
@@ -123,7 +131,7 @@ func TestLocalTTLExpiryReleasesQuery(t *testing.T) {
 	if _, err := r.Lookup(context.Background(), "x-2.sub.cache.example.", dnswire.TypeA); err != nil {
 		t.Fatal(err)
 	}
-	if got := plat.SnapshotStats().Queries; got != 2 {
+	if got := queries(plat); got != 2 {
 		t.Errorf("platform saw %d queries, want 2 after TTL expiry", got)
 	}
 }
@@ -144,7 +152,7 @@ func TestBrowserCacheCapsTTL(t *testing.T) {
 	if !res.FromLocalCache {
 		t.Error("OS cache should still answer")
 	}
-	if got := plat.SnapshotStats().Queries; got != 1 {
+	if got := queries(plat); got != 1 {
 		t.Errorf("platform saw %d queries, want 1", got)
 	}
 }
@@ -162,7 +170,7 @@ func TestDistinctNamesBypassLocalCaches(t *testing.T) {
 			t.Fatalf("probe %d answered locally", i)
 		}
 	}
-	if got := plat.SnapshotStats().Queries; got != 10 {
+	if got := queries(plat); got != 10 {
 		t.Errorf("platform saw %d queries, want 10", got)
 	}
 }
@@ -207,7 +215,7 @@ func TestDisableLayers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := plat.SnapshotStats().Queries; got != 3 {
+	if got := queries(plat); got != 3 {
 		t.Errorf("platform saw %d queries, want 3 with no local caches", got)
 	}
 }
@@ -222,7 +230,7 @@ func TestFlushLocal(t *testing.T) {
 	if _, err := r.Lookup(context.Background(), "x-1.sub.cache.example.", dnswire.TypeA); err != nil {
 		t.Fatal(err)
 	}
-	if got := plat.SnapshotStats().Queries; got != 2 {
+	if got := queries(plat); got != 2 {
 		t.Errorf("platform saw %d queries, want 2 after local flush", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dnscde/internal/dnswire"
+	"dnscde/internal/metrics"
 	"dnscde/internal/netsim"
 	"dnscde/internal/netsim/des"
 )
@@ -42,6 +43,8 @@ func answeringHandler(addr netip.Addr) netsim.HandlerFunc {
 // the same decision logic Transport runs over real sockets.
 func TestTCPFallbackSimulatedTruncation(t *testing.T) {
 	n := netsim.New(2017)
+	reg := metrics.New()
+	n.SetMetrics(reg)
 	answer := netip.MustParseAddr("203.0.113.55")
 	n.Register(fbServer, netsim.LinkProfile{
 		Faults: &netsim.FaultProfile{TruncateRate: 1},
@@ -76,7 +79,7 @@ func TestTCPFallbackSimulatedTruncation(t *testing.T) {
 	if rtt < 0 {
 		t.Errorf("combined rtt = %v, want >= 0 (both legs accounted)", rtt)
 	}
-	if got := n.SnapshotStats().Faults.Truncated; got < 2 {
+	if got := reg.Snapshot().Counter("netsim.faults.truncated"); got < 2 {
 		t.Errorf("truncation fault count = %d, want >= 2 (stub probe + fallback's UDP leg)", got)
 	}
 }

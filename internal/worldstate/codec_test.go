@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,10 +33,6 @@ func sampleImage() *Image {
 			SessionCursor: 41,
 		},
 		Network: Network{
-			Stats: netsim.Stats{
-				Exchanges: 100, Lost: 3, BytesSent: 5000, BytesRecvd: 7000,
-				Faults: netsim.FaultStats{ServFail: 2, Late: 1},
-			},
 			Sources: []netsim.SourceState{
 				{
 					Addr:  netip.MustParseAddr("10.30.0.1"),
@@ -56,12 +53,10 @@ func sampleImage() *Image {
 					EgressRR: 1,
 					RNGDraws: 12,
 					Down:     []bool{false, true, false},
-					Stats:    platform.PlatformStats{Queries: 50, CacheHits: 30, CacheMisses: 20},
 				},
 				Caches: []CacheState{
 					{
-						ID:    "resolver-c0",
-						Stats: dnscache.Stats{Hits: 10, Misses: 5, Evictions: 1},
+						ID: "resolver-c0",
 						Items: []dnscache.ItemState{
 							{
 								Key: "a.probe.cache.example.|IN|A",
@@ -97,16 +92,18 @@ func sampleImage() *Image {
 				State: platform.CheckpointState{
 					Selector: loadbal.State{Kind: "random", Draws: 99},
 					Down:     []bool{false},
-					Stats:    platform.PlatformStats{Queries: 8, UpstreamFail: 1},
 				},
 				Caches: []CacheState{{ID: "forwarder-c0"}},
 			},
 		},
 		Metrics: metrics.Snapshot{
 			Counters: map[string]int64{
-				"core.probes.sent":    25,
-				"netsim.packets.sent": 200,
-				"zero.counter":        0,
+				"core.probes.sent":                 25,
+				"dnscache.hits.resolver-c0":        10,
+				"netsim.faults.servfail":           2,
+				"netsim.packets.sent":              200,
+				"platform.upstream_fail.forwarder": 1,
+				"zero.counter":                     0,
 			},
 			Histograms: map[string]metrics.HistogramSnapshot{
 				"netsim.rtt.us": {Bounds: []int64{100, 1000, 10000}, Buckets: []int64{5, 10, 2, 0}, Count: 17, Sum: 31234},
@@ -210,7 +207,14 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			// Keep header but drop every section.
 			return valid[:10]
 		},
+		"version 1 header": func() []byte {
+			// A snapshot from before the counter mirrors were dropped.
+			b := append([]byte(nil), valid...)
+			b[8], b[9] = 0, 1
+			return b
+		},
 	}
+	wantMsg := map[string]string{"version 1 header": "unsupported version 1"}
 	for name, make := range damage {
 		t.Run(name, func(t *testing.T) {
 			img, err := Decode(make())
@@ -219,6 +223,9 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			}
 			if !errors.Is(err, ErrCorrupt) {
 				t.Errorf("err = %v, want ErrCorrupt", err)
+			}
+			if want := wantMsg[name]; !strings.Contains(err.Error(), want) {
+				t.Errorf("err = %v, want it to say %q", err, want)
 			}
 			if img != nil {
 				t.Error("Decode returned a partial image alongside an error")

@@ -241,17 +241,6 @@ func decodeMeta(r *reader, m *Meta) error {
 }
 
 func decodeNetwork(r *reader, n *Network) error {
-	for _, dst := range []*int64{
-		&n.Stats.Exchanges, &n.Stats.Lost, &n.Stats.BytesSent, &n.Stats.BytesRecvd,
-		&n.Stats.Faults.ServFail, &n.Stats.Faults.Refused, &n.Stats.Faults.Truncated,
-		&n.Stats.Faults.Duplicated, &n.Stats.Faults.Late, &n.Stats.Faults.Outage,
-	} {
-		v, err := r.i64()
-		if err != nil {
-			return err
-		}
-		*dst = v
-	}
 	// Each source is at least: 1-byte addr len + 8-byte draws + 4-byte
 	// flow count.
 	numSources, err := r.count(13)
@@ -360,16 +349,6 @@ func decodePlatforms(r *reader, img *Image) error {
 				return err
 			}
 		}
-		for _, dst := range []*int64{
-			&st.Stats.Queries, &st.Stats.CacheHits, &st.Stats.CacheMisses,
-			&st.Stats.Refused, &st.Stats.UpstreamFail,
-		} {
-			v, err := r.i64()
-			if err != nil {
-				return err
-			}
-			*dst = v
-		}
 		p.State = st
 		numCaches, err := r.count(4)
 		if err != nil {
@@ -382,13 +361,6 @@ func decodePlatforms(r *reader, img *Image) error {
 			var c CacheState
 			if c.ID, err = r.str(); err != nil {
 				return err
-			}
-			for _, dst := range []*int64{&c.Stats.Hits, &c.Stats.Misses, &c.Stats.Evictions, &c.Stats.Expired} {
-				v, err := r.i64()
-				if err != nil {
-					return err
-				}
-				*dst = v
 			}
 			numItems, err := r.count(24) // key len + two i64 stamps + wire len
 			if err != nil {

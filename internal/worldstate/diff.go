@@ -50,9 +50,6 @@ func diffMeta(a, b Meta) string {
 }
 
 func diffNetwork(a, b Network) string {
-	if a.Stats != b.Stats {
-		return fmt.Sprintf("stats %+v vs %+v", a.Stats, b.Stats)
-	}
 	if len(a.Sources) != len(b.Sources) {
 		return fmt.Sprintf("%d vs %d sources", len(a.Sources), len(b.Sources))
 	}
@@ -95,9 +92,6 @@ func diffPlatforms(a, b []Platform) string {
 		if fmt.Sprint(pa.State.Down) != fmt.Sprint(pb.State.Down) {
 			return fmt.Sprintf("%s down flags %v vs %v", pa.Name, pa.State.Down, pb.State.Down)
 		}
-		if pa.State.Stats != pb.State.Stats {
-			return fmt.Sprintf("%s stats %+v vs %+v", pa.Name, pa.State.Stats, pb.State.Stats)
-		}
 		if d := diffCaches(pa.Caches, pb.Caches); d != "" {
 			return pa.Name + ": " + d
 		}
@@ -113,9 +107,6 @@ func diffCaches(a, b []CacheState) string {
 		ca, cb := a[i], b[i]
 		if ca.ID != cb.ID {
 			return fmt.Sprintf("cache %d is %q vs %q", i, ca.ID, cb.ID)
-		}
-		if ca.Stats != cb.Stats {
-			return fmt.Sprintf("%s stats %+v vs %+v", ca.ID, ca.Stats, cb.Stats)
 		}
 		if len(ca.Items) != len(cb.Items) {
 			return fmt.Sprintf("%s holds %d vs %d entries", ca.ID, len(ca.Items), len(cb.Items))

@@ -89,14 +89,6 @@ func Encode(img *Image) ([]byte, error) {
 	}
 
 	err = w.section(sectionNetwork, func(b *writer) error {
-		s := img.Network.Stats
-		for _, v := range []int64{
-			s.Exchanges, s.Lost, s.BytesSent, s.BytesRecvd,
-			s.Faults.ServFail, s.Faults.Refused, s.Faults.Truncated,
-			s.Faults.Duplicated, s.Faults.Late, s.Faults.Outage,
-		} {
-			b.i64(v)
-		}
 		b.u32(uint32(len(img.Network.Sources)))
 		for _, src := range img.Network.Sources {
 			if err := b.addr(src.Addr); err != nil {
@@ -138,16 +130,9 @@ func Encode(img *Image) ([]byte, error) {
 			for _, d := range p.State.Down {
 				b.bool(d)
 			}
-			ps := p.State.Stats
-			for _, v := range []int64{ps.Queries, ps.CacheHits, ps.CacheMisses, ps.Refused, ps.UpstreamFail} {
-				b.i64(v)
-			}
 			b.u32(uint32(len(p.Caches)))
 			for _, c := range p.Caches {
 				b.str(c.ID)
-				for _, v := range []int64{c.Stats.Hits, c.Stats.Misses, c.Stats.Evictions, c.Stats.Expired} {
-					b.i64(v)
-				}
 				b.u32(uint32(len(c.Items)))
 				for _, it := range c.Items {
 					b.str(it.Key)

@@ -63,7 +63,7 @@ var (
 
 // Version is the current snapshot format version. Decode rejects any
 // other value; the version is bumped on any incompatible layout change.
-const Version = 1
+const Version = 2
 
 // magic identifies a worldstate snapshot. Eight bytes, like a tar or ELF
 // magic, so file(1)-style sniffing is trivial.
@@ -101,25 +101,23 @@ type Meta struct {
 	SessionCursor int
 }
 
-// Network is the simulated-Internet state: folded packet counters and
-// every per-source RNG/fault stream.
+// Network is the simulated-Internet state: every per-source RNG/fault
+// stream.
 type Network struct {
-	Stats   netsim.Stats
 	Sources []netsim.SourceState
 }
 
-// Platform is one resolution platform's state: chain positions and
-// counters, plus every cache's contents.
+// Platform is one resolution platform's state: chain positions plus
+// every cache's contents.
 type Platform struct {
 	Name   string
 	State  platform.CheckpointState
 	Caches []CacheState
 }
 
-// CacheState is one DNS cache's contents and counters.
+// CacheState is one DNS cache's contents.
 type CacheState struct {
 	ID    string
-	Stats dnscache.Stats
 	Items []dnscache.ItemState
 }
 
