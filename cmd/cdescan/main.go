@@ -52,7 +52,7 @@ func run(args []string, out io.Writer) int {
 		caches    = fs.Int("caches", 4, "simulated platform cache count")
 		ingress   = fs.Int("ingress", 2, "simulated platform ingress IPs")
 		egress    = fs.Int("egress", 3, "simulated platform egress IPs")
-		selector  = fs.String("selector", "random", "random, round-robin, hash-qname or hash-source-ip")
+		selector  = fs.String("selector", "random", "cache selector: "+strings.Join(loadbal.Names(), ", "))
 		loss      = fs.Float64("loss", 0.01, "simulated per-packet loss")
 		faults    = fs.String("faults", "", "sim mode: fault profile for the platform link, e.g. 'burst=0.11:4,servfail=0.02,truncate=0.1'")
 		seed      = fs.Int64("seed", 1, "simulation seed")
@@ -184,21 +184,6 @@ func restoreCheckpoint(out io.Writer, sc *scenario.Scenario, path string, shards
 	return err
 }
 
-func makeSelector(kind string, seed int64) (loadbal.Selector, error) {
-	switch kind {
-	case "random":
-		return loadbal.NewRandom(seed), nil
-	case "round-robin":
-		return loadbal.NewRoundRobin(), nil
-	case "hash-qname":
-		return loadbal.HashQName{}, nil
-	case "hash-source-ip":
-		return loadbal.HashSourceIP{}, nil
-	default:
-		return nil, fmt.Errorf("unknown selector %q", kind)
-	}
-}
-
 // runSims scans one or more independent simulated platforms. With
 // -scans > 1 each scan owns a full world seeded from the detpar stream
 // and runs on a bounded worker pool; outputs are merged in scan order,
@@ -226,7 +211,7 @@ func runSims(out io.Writer, technique string, caches, ingress, egress int, selec
 }
 
 func runSim(out io.Writer, technique string, caches, ingress, egress int, selector string, loss float64, faults *netsim.FaultProfile, seed int64, shards int) (err error) {
-	sel, err := makeSelector(selector, seed)
+	sel, err := loadbal.New(selector, seed)
 	if err != nil {
 		return err
 	}

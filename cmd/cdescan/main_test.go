@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dnscde/internal/loadbal"
 	"dnscde/internal/netsim"
 )
 
@@ -69,13 +70,18 @@ func TestRunFaultsFlagValidation(t *testing.T) {
 }
 
 func TestMakeSelector(t *testing.T) {
-	for _, kind := range []string{"random", "round-robin", "hash-qname", "hash-source-ip"} {
-		if _, err := makeSelector(kind, 1); err != nil {
-			t.Errorf("%s: %v", kind, err)
+	for _, kind := range loadbal.Names() {
+		var sb strings.Builder
+		if code := run([]string{"-selector", kind, "-technique", "direct", "-caches", "2"}, &sb); code != 0 {
+			t.Errorf("-selector %s exit = %d", kind, code)
+		}
+		if want := "selector=" + kind; !strings.Contains(sb.String(), want) {
+			t.Errorf("-selector %s: report lacks %q", kind, want)
 		}
 	}
-	if _, err := makeSelector("bogus", 1); err == nil {
-		t.Error("bogus selector accepted")
+	var sb strings.Builder
+	if code := run([]string{"-selector", "bogus", "-technique", "direct"}, &sb); code != 1 {
+		t.Errorf("bogus selector exit = %d, want 1", code)
 	}
 }
 

@@ -252,9 +252,6 @@ type Server struct {
 	log *QueryLog
 	clk clock.Clock
 
-	// processing is artificial per-query processing latency charged to
-	// the simulated exchange.
-	processing time.Duration
 	// controlZone, when set, answers log-statistics TXT queries under
 	// this origin (see control.go).
 	controlZone string
@@ -276,13 +273,6 @@ type Option func(*Server)
 // WithClock sets the clock used to timestamp log entries.
 func WithClock(c clock.Clock) Option {
 	return func(s *Server) { s.clk = c }
-}
-
-// WithProcessingDelay charges d of simulated time to every query served
-// on the simulated network (ServeDNSEvent); the blocking ServeDNS, which
-// real sockets call, answers immediately.
-func WithProcessingDelay(d time.Duration) Option {
-	return func(s *Server) { s.processing = d }
 }
 
 // WithMetrics attaches an accounting registry at construction time; see
@@ -364,11 +354,11 @@ func (s *Server) findZone(name string) (*zone.Zone, bool) {
 }
 
 // ServeDNSEvent implements netsim.EventHandler: an authoritative lookup
-// has no upstream work, so the event-native form is the lookup followed
-// by a response event after the configured processing delay.
+// has no upstream work, so the event-native form answers inline and the
+// response leaves at the delivery instant.
 func (s *Server) ServeDNSEvent(ctx context.Context, sched *des.Scheduler, src netip.Addr, query *dnswire.Message, r netsim.Responder) {
 	resp, err := s.ServeDNS(ctx, src, query)
-	netsim.RespondAfter(sched, s.processing, r, resp, err)
+	r.Respond(sched.Now(), resp, err)
 }
 
 // ServeDNS implements netsim.Handler: log the query, look it up, build the

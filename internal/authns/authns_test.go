@@ -228,20 +228,22 @@ func TestQueryLogConcurrent(t *testing.T) {
 	}
 }
 
-func TestProcessingDelayCharged(t *testing.T) {
+// TestServeDNSEventAnswersAtDelivery: on the simulated network the
+// server answers inline, so a round trip costs the link delays alone.
+func TestServeDNSEventAnswersAtDelivery(t *testing.T) {
 	h, err := zone.BuildHierarchy("cache.example", 3, target, parentNS, childNS, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer([]*zone.Zone{h.Parent, h.Child}, WithProcessingDelay(25*time.Millisecond))
+	s := NewServer([]*zone.Zone{h.Parent, h.Child})
 	n := netsim.New(1)
-	n.Register(parentNS, netsim.LinkProfile{}, s)
+	n.Register(parentNS, netsim.LinkProfile{OneWay: 4 * time.Millisecond}, s)
 	_, rtt, err := n.Bind(egressIP).Exchange(context.Background(), dnswire.NewQuery(1, "x-1.sub.cache.example.", dnswire.TypeA), parentNS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rtt != 25*time.Millisecond {
-		t.Errorf("rtt = %v, want 25ms processing delay", rtt)
+	if rtt != 8*time.Millisecond {
+		t.Errorf("rtt = %v, want 8ms of link delay", rtt)
 	}
 }
 

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"dnscde/internal/metrics"
 	"dnscde/internal/scenario"
 )
 
@@ -155,15 +153,8 @@ func (e *Engine) resumeOne(path string) (*Campaign, error) {
 	if err != nil {
 		return nil, fmt.Errorf("re-parsing spec: %w", err)
 	}
-	header := scenario.CampaignDef{}
-	if sc.Campaign != nil {
-		header = *sc.Campaign
-	} else {
-		header.Ticks = 1
-		header.MaxConcurrent = 1
-	}
-	if ck.Next < 0 || ck.Next > header.Ticks || ck.Offset < 0 {
-		return nil, fmt.Errorf("checkpoint cursor out of range (next=%d ticks=%d offset=%d)", ck.Next, header.Ticks, ck.Offset)
+	if ticks := campaignHeader(sc).Ticks; ck.Next < 0 || ck.Next > ticks || ck.Offset < 0 {
+		return nil, fmt.Errorf("checkpoint cursor out of range (next=%d ticks=%d offset=%d)", ck.Next, ticks, ck.Offset)
 	}
 
 	resultPath := filepath.Join(e.dir, ck.ID+".jsonl")
@@ -203,42 +194,14 @@ func (e *Engine) resumeOne(path string) (*Campaign, error) {
 	if _, err := fmt.Sscanf(ck.ID, "c%d-", &seq); err == nil && seq > e.nextID {
 		e.nextID = seq
 	}
-	ctx, cancel := context.WithCancel(e.baseCtx)
-	sink := NewSink(file, e.opts.Sink)
-	c := &Campaign{
-		id:        ck.ID,
-		name:      ck.Name,
-		header:    header,
-		text:      ck.Spec,
-		submitted: ck.Submitted,
-		path:      resultPath,
-		engine:    e,
-		ctx:       ctx,
-		cancel:    cancel,
-		reg:       metrics.New(),
-		sink:      sink,
-		file:      file,
-		done:      make(chan struct{}),
-		emitter: &orderedEmitter{sink: sink, cur: cursorState{
-			Next:      ck.Next,
-			Completed: ck.Completed,
-			Failed:    ck.Failed,
-			Retries:   ck.Retries,
-			LastErr:   ck.LastErr,
-		}},
-		startRun:    ck.Next,
-		rowsBase:    ck.Rows,
-		fileBase:    ck.Offset,
-		state:       StatePending,
-		completed:   ck.Completed,
-		failed:      ck.Failed,
-		retriesUsed: ck.Retries,
-		lastErr:     ck.LastErr,
-	}
-	c.emitter.onAdvance = c.writeCheckpoint
-	e.campaigns[ck.ID] = c
-	e.order = append(e.order, ck.ID)
-	e.wg.Add(1)
+	c := e.addCampaignLocked(sc, ck.ID, ck.Spec, ck.Submitted, resultPath, file, cursorState{
+		Next:      ck.Next,
+		Completed: ck.Completed,
+		Failed:    ck.Failed,
+		Retries:   ck.Retries,
+		LastErr:   ck.LastErr,
+	})
+	c.rowsBase, c.fileBase = ck.Rows, ck.Offset
 	e.mu.Unlock()
 
 	go c.loop()

@@ -234,14 +234,15 @@ func jsonString(s string) string {
 // record as Offset.
 func TestSinkFlushReportsExactOffsets(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewSink(&buf, SinkOptions{Encoders: 3, ChunkRows: 4})
+	s := NewSink(&buf, SinkOptions{Encoders: 3})
 	total := 0
-	for i := 0; i < 10; i++ {
+	// Flushes land mid-chunk and after whole chunks were dispatched.
+	for i := 0; i < 10*chunkRows; i++ {
 		if err := s.Append(Row{Run: i}); err != nil {
 			t.Fatal(err)
 		}
 		total++
-		if i%3 == 0 {
+		if i%(3*chunkRows/2) == 0 {
 			written, err := s.Flush()
 			if err != nil {
 				t.Fatalf("Flush: %v", err)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"dnscde/internal/clock"
 	"dnscde/internal/metrics"
@@ -100,13 +101,6 @@ func (e *Engine) Submit(text string) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	header := scenario.CampaignDef{}
-	if sc.Campaign != nil {
-		header = *sc.Campaign
-	} else {
-		header.Ticks = 1
-		header.MaxConcurrent = 1
-	}
 
 	e.mu.Lock()
 	if e.draining {
@@ -121,14 +115,39 @@ func (e *Engine) Submit(text string) (*Campaign, error) {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("campaign: creating result file: %w", err)
 	}
+	c := e.addCampaignLocked(sc, id, sc.Format(), e.clk.Now(), path, file, cursorState{})
+	e.mu.Unlock()
+
+	// Persist the initial cursor so a shutdown before the first run still
+	// leaves a resumable campaign behind.
+	c.writeCheckpoint(cursorState{})
+	go c.loop()
+	return c, nil
+}
+
+// campaignHeader returns sc's campaign stanza; a spec without one is a
+// single immediate run.
+func campaignHeader(sc *scenario.Scenario) scenario.CampaignDef {
+	if sc.Campaign != nil {
+		return *sc.Campaign
+	}
+	return scenario.CampaignDef{Ticks: 1, MaxConcurrent: 1}
+}
+
+// addCampaignLocked builds a campaign — new, or resumed from cursor cur —
+// whose results stream through a fresh sink into file, wires the
+// emitter's checkpoint hook and registers it with the engine. The
+// campaign's progress and first scheduled run start from cur. The caller
+// holds e.mu and starts the campaign's loop after releasing it.
+func (e *Engine) addCampaignLocked(sc *scenario.Scenario, id, text string, submitted time.Time, path string, file *os.File, cur cursorState) *Campaign {
 	ctx, cancel := context.WithCancel(e.baseCtx)
 	sink := NewSink(file, e.opts.Sink)
 	c := &Campaign{
 		id:        id,
 		name:      sc.Name,
-		header:    header,
-		text:      sc.Format(),
-		submitted: e.clk.Now(),
+		header:    campaignHeader(sc),
+		text:      text,
+		submitted: submitted,
 		path:      path,
 		engine:    e,
 		ctx:       ctx,
@@ -137,20 +156,20 @@ func (e *Engine) Submit(text string) (*Campaign, error) {
 		sink:      sink,
 		file:      file,
 		done:      make(chan struct{}),
-		emitter:   &orderedEmitter{sink: sink},
-		state:     StatePending,
+		emitter:   &orderedEmitter{sink: sink, cur: cur},
+		startRun:  cur.Next,
+
+		state:       StatePending,
+		completed:   cur.Completed,
+		failed:      cur.Failed,
+		retriesUsed: cur.Retries,
+		lastErr:     cur.LastErr,
 	}
 	c.emitter.onAdvance = c.writeCheckpoint
 	e.campaigns[id] = c
 	e.order = append(e.order, id)
 	e.wg.Add(1)
-	e.mu.Unlock()
-
-	// Persist the initial cursor so a shutdown before the first run still
-	// leaves a resumable campaign behind.
-	c.writeCheckpoint(cursorState{})
-	go c.loop()
-	return c, nil
+	return c
 }
 
 // Get returns a campaign by ID.

@@ -15,15 +15,14 @@ type SinkOptions struct {
 	// Encoders is the number of parallel chunk-encoding workers
 	// (default 4).
 	Encoders int
-	// ChunkRows is how many rows one chunk batches before it is handed
-	// to an encoder (default 512).
-	ChunkRows int
 }
 
-// defaults for SinkOptions.
 const (
-	defaultEncoders  = 4
-	defaultChunkRows = 512
+	// defaultEncoders is the default for SinkOptions.Encoders.
+	defaultEncoders = 4
+	// chunkRows is how many rows one chunk batches before it is handed
+	// to an encoder.
+	chunkRows = 512
 )
 
 // chunkJob is a sealed batch of rows awaiting encoding.
@@ -54,8 +53,7 @@ type encodedChunk struct {
 // that need a deterministic stream (the campaign runner) serialize
 // appends through an orderedEmitter.
 type Sink struct {
-	chunkRows int
-	w         io.Writer
+	w io.Writer
 
 	mu     sync.Mutex // guards cur, seq, closed
 	cur    []any
@@ -92,16 +90,12 @@ func NewSink(w io.Writer, opts SinkOptions) *Sink {
 	if opts.Encoders <= 0 {
 		opts.Encoders = defaultEncoders
 	}
-	if opts.ChunkRows <= 0 {
-		opts.ChunkRows = defaultChunkRows
-	}
 	s := &Sink{
-		chunkRows: opts.ChunkRows,
-		w:         w,
-		jobs:      make(chan chunkJob, opts.Encoders),
-		encoded:   make(chan encodedChunk, opts.Encoders),
-		asmDone:   make(chan struct{}),
-		inflight:  make(chan struct{}, 3*opts.Encoders),
+		w:        w,
+		jobs:     make(chan chunkJob, opts.Encoders),
+		encoded:  make(chan encodedChunk, opts.Encoders),
+		asmDone:  make(chan struct{}),
+		inflight: make(chan struct{}, 3*opts.Encoders),
 	}
 	s.flushCond = sync.NewCond(&s.flushMu)
 	s.encWG.Add(opts.Encoders)
@@ -122,12 +116,12 @@ func (s *Sink) Append(v any) error {
 		return errors.New("campaign: append to closed sink")
 	}
 	if s.cur == nil {
-		s.cur = make([]any, 0, s.chunkRows)
+		s.cur = make([]any, 0, chunkRows)
 	}
 	s.cur = append(s.cur, v)
 	var job chunkJob
 	dispatch := false
-	if len(s.cur) >= s.chunkRows {
+	if len(s.cur) >= chunkRows {
 		job = chunkJob{seq: s.seq, rows: s.cur}
 		s.seq++
 		s.cur = nil

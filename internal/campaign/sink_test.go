@@ -14,7 +14,7 @@ func TestSinkStreamsRowsInOrder(t *testing.T) {
 	// with bounded buffering and append-order output.
 	const n = 120000
 	var buf bytes.Buffer
-	s := NewSink(&buf, SinkOptions{Encoders: 4, ChunkRows: 256})
+	s := NewSink(&buf, SinkOptions{Encoders: 4})
 	for i := 0; i < n; i++ {
 		if err := s.Append(struct {
 			N int `json:"n"`
@@ -49,7 +49,7 @@ func TestSinkStreamsRowsInOrder(t *testing.T) {
 
 func TestSinkFlushesPartialChunk(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewSink(&buf, SinkOptions{Encoders: 2, ChunkRows: 1000})
+	s := NewSink(&buf, SinkOptions{Encoders: 2})
 	for i := 0; i < 3; i++ {
 		if err := s.Append(Row{Campaign: "c", Run: i}); err != nil {
 			t.Fatal(err)
@@ -89,8 +89,8 @@ func (w *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestSinkSurfacesWriteError(t *testing.T) {
-	s := NewSink(&failWriter{}, SinkOptions{Encoders: 2, ChunkRows: 4})
-	for i := 0; i < 64; i++ {
+	s := NewSink(&failWriter{}, SinkOptions{Encoders: 2})
+	for i := 0; i < 16*chunkRows; i++ {
 		// Append keeps accepting (errors surface asynchronously); the
 		// pipeline must drain rather than deadlock.
 		_ = s.Append(Row{Run: i}) //nolint — error checked at Close
@@ -103,7 +103,7 @@ func TestSinkSurfacesWriteError(t *testing.T) {
 
 func TestOrderedEmitterRestoresRunOrder(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewSink(&buf, SinkOptions{Encoders: 2, ChunkRows: 2})
+	s := NewSink(&buf, SinkOptions{Encoders: 2})
 	e := &orderedEmitter{sink: s}
 	// Runs finish out of order; run 1 failed (nil rows) but still
 	// advances the cursor.

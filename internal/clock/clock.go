@@ -37,11 +37,6 @@ func NewVirtual() *Virtual {
 	return &Virtual{now: time.Date(2017, time.June, 26, 0, 0, 0, 0, time.UTC)}
 }
 
-// NewVirtualAt returns a virtual clock starting at t.
-func NewVirtualAt(t time.Time) *Virtual {
-	return &Virtual{now: t}
-}
-
 // Now implements Clock.
 func (v *Virtual) Now() time.Time {
 	v.mu.Lock()

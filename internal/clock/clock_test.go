@@ -40,14 +40,6 @@ func TestVirtualAdvanceNegativeIgnored(t *testing.T) {
 	}
 }
 
-func TestVirtualAt(t *testing.T) {
-	epoch := time.Date(2026, time.July, 6, 12, 0, 0, 0, time.UTC)
-	v := NewVirtualAt(epoch)
-	if !v.Now().Equal(epoch) {
-		t.Errorf("Now() = %v, want %v", v.Now(), epoch)
-	}
-}
-
 func TestVirtualConcurrentAdvance(t *testing.T) {
 	v := NewVirtual()
 	t0 := v.Now()

@@ -12,33 +12,18 @@ import (
 // grown until the observation stabilises — the practical realisation of
 // §V-B's "a prerequisite is that N ... is larger than n".
 
+// Adaptive enumeration budgets: the first round's probe count and the
+// cap on the total number of probes.
+const (
+	adaptiveInitialBudget = 16
+	adaptiveMaxBudget     = 4096
+)
+
 // AdaptiveOptions tunes adaptive enumeration.
 type AdaptiveOptions struct {
-	// InitialBudget is the first round's probe count; zero defaults
-	// to 16.
-	InitialBudget int
-	// MaxBudget caps the total number of probes; zero defaults to 4096.
-	MaxBudget int
-	// Replicates is the carpet-bombing factor per probe.
+	// Replicates is the carpet-bombing factor per probe; zero defaults
+	// to 1.
 	Replicates int
-	// QType is the probed record type; zero defaults to A.
-	QType dnswire.Type
-}
-
-func (o AdaptiveOptions) withDefaults() AdaptiveOptions {
-	if o.InitialBudget == 0 {
-		o.InitialBudget = 16
-	}
-	if o.MaxBudget == 0 {
-		o.MaxBudget = 4096
-	}
-	if o.Replicates == 0 {
-		o.Replicates = 1
-	}
-	if o.QType == 0 {
-		o.QType = dnswire.TypeA
-	}
-	return o
 }
 
 // AdaptiveResult is the outcome of an adaptive enumeration.
@@ -51,7 +36,7 @@ type AdaptiveResult struct {
 	ProbesSent  int
 	ProbeErrors int
 	// Converged reports whether the doubling rule was satisfied before
-	// MaxBudget was exhausted.
+	// the probe cap was exhausted.
 	Converged bool
 }
 
@@ -63,12 +48,11 @@ type AdaptiveResult struct {
 // Each round uses a fresh session, so rounds are independent
 // measurements; the final round's count is reported.
 func EnumerateAdaptive(ctx context.Context, p Prober, in *Infra, opts AdaptiveOptions) (AdaptiveResult, error) {
-	o := opts.withDefaults()
 	result := AdaptiveResult{}
-	budget := o.InitialBudget
+	budget := adaptiveInitialBudget
 	for {
 		result.Rounds++
-		enumOpts := EnumOptions{Queries: budget, Replicates: o.Replicates, QType: o.QType}
+		enumOpts := EnumOptions{Queries: budget, Replicates: opts.Replicates}
 		var (
 			res EnumResult
 			err error
@@ -94,7 +78,7 @@ func EnumerateAdaptive(ctx context.Context, p Prober, in *Infra, opts AdaptiveOp
 			result.Converged = true
 			return result, nil
 		}
-		if result.ProbesSent+budget*2 > o.MaxBudget {
+		if result.ProbesSent+budget*2 > adaptiveMaxBudget {
 			return result, nil
 		}
 		budget *= 2

@@ -54,17 +54,17 @@ func TestEnumerateAdaptiveIndirect(t *testing.T) {
 
 func TestEnumerateAdaptiveBudgetCap(t *testing.T) {
 	w := newTestWorld(t)
-	plat := w.newPlatform(t, platformOpts{caches: 30, selector: loadbal.NewRandom(1)})
-	res, err := EnumerateAdaptive(context.Background(), w.directProber(plat), w.infra,
-		AdaptiveOptions{InitialBudget: 8, MaxBudget: 24})
+	// 300 caches need more than the largest round the cap admits.
+	plat := w.newPlatform(t, platformOpts{caches: 300, selector: loadbal.NewRandom(1)})
+	res, err := EnumerateAdaptive(context.Background(), w.directProber(plat), w.infra, AdaptiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Converged {
-		t.Error("converged despite tiny budget")
+		t.Error("converged despite the budget cap")
 	}
-	if res.ProbesSent > 24 {
-		t.Errorf("probes = %d exceeds cap", res.ProbesSent)
+	if res.ProbesSent > adaptiveMaxBudget {
+		t.Errorf("probes = %d exceeds the cap of %d", res.ProbesSent, adaptiveMaxBudget)
 	}
 }
 

@@ -54,10 +54,6 @@ type ClassifyOptions struct {
 	// Queries is the per-phase probe budget; zero defaults to
 	// RecommendedQueries(8, 0.99).
 	Queries int
-	// Repetitions of the arrival-order test; zero defaults to 3. With r
-	// repetitions the probability that uniform-random selection passes
-	// every sequential test is (n!/nⁿ)^r.
-	Repetitions int
 	// ExtraVantages are probers from different source addresses,
 	// used to expose hash-by-source-IP platforms that look single-cache
 	// from one vantage. Optional.
@@ -68,11 +64,13 @@ func (o ClassifyOptions) withDefaults() ClassifyOptions {
 	if o.Queries == 0 {
 		o.Queries = RecommendedQueries(8, 0.99)
 	}
-	if o.Repetitions == 0 {
-		o.Repetitions = 3
-	}
 	return o
 }
+
+// classifyRepetitions is the minimum number of arrival-order tests. With
+// r repetitions the probability that uniform-random selection passes
+// every sequential test is (n!/nⁿ)^r.
+const classifyRepetitions = 3
 
 // ClassifyResult is the classifier's output.
 type ClassifyResult struct {
@@ -133,7 +131,7 @@ func ClassifySelection(ctx context.Context, p Prober, in *Infra, opts ClassifyOp
 	// one run with probability n!/nⁿ, so for small n more repetitions are
 	// needed to push the misclassification rate below ~2%.
 	n := result.Caches
-	reps := opts.Repetitions
+	reps := classifyRepetitions
 	pSeq := sequentialChance(n)
 	for conf := pow(pSeq, reps); conf > 0.02 && reps < 16; conf = pow(pSeq, reps) {
 		reps++

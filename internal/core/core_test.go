@@ -197,7 +197,7 @@ func TestEnumerateHierarchyIndirect(t *testing.T) {
 func TestEnumerateDispatchesOnAccessMode(t *testing.T) {
 	w := newTestWorld(t)
 	plat := w.newPlatform(t, platformOpts{caches: 2, selector: loadbal.NewRoundRobin()})
-	res, err := Enumerate(context.Background(), w.directProber(plat), w.infra, EnumOptions{Queries: 8})
+	res, err := EnumerateAdaptive(context.Background(), w.directProber(plat), w.infra, AdaptiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestEnumerateDispatchesOnAccessMode(t *testing.T) {
 		t.Errorf("direct prober used %q", res.Technique)
 	}
 	plat2 := w.newPlatform(t, platformOpts{caches: 2, selector: loadbal.NewRoundRobin()})
-	res, err = Enumerate(context.Background(), w.indirectProber(plat2), w.infra, EnumOptions{Queries: 8})
+	res, err = EnumerateAdaptive(context.Background(), w.indirectProber(plat2), w.infra, AdaptiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestDiscoverEgress(t *testing.T) {
 	w := newTestWorld(t)
 	const egressCount = 6
 	plat := w.newPlatform(t, platformOpts{caches: 2, egress: egressCount, selector: loadbal.NewRandom(1)})
-	res, err := DiscoverEgress(context.Background(), w.directProber(plat), w.infra, EnumOptions{Queries: 80})
+	res, err := DiscoverEgressAdaptive(context.Background(), w.directProber(plat), w.infra, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,6 @@ type EnumOptions struct {
 	// K times so that packet loss on the measured path does not starve
 	// the sample. Zero defaults to 1 (no replication).
 	Replicates int
-	// QType is the probed record type; zero defaults to A.
-	QType dnswire.Type
 }
 
 // withDefaults normalises opts.
@@ -48,9 +46,6 @@ func (o EnumOptions) withDefaults() EnumOptions {
 	}
 	if o.Replicates == 0 {
 		o.Replicates = 1
-	}
-	if o.QType == 0 {
-		o.QType = dnswire.TypeA
 	}
 	return o
 }
@@ -86,7 +81,7 @@ func EnumerateDirect(ctx context.Context, p Prober, in *Infra, opts EnumOptions)
 	for i := 0; i < opts.Queries; i++ {
 		for k := 0; k < opts.Replicates; k++ {
 			res.ProbesSent++
-			_, err := p.Probe(ctx, session.Honey, opts.QType)
+			_, err := p.Probe(ctx, session.Honey, dnswire.TypeA)
 			in.countProbe(err, k > 0)
 			if err != nil {
 				res.ProbeErrors++
@@ -115,7 +110,7 @@ func EnumerateChain(ctx context.Context, p Prober, in *Infra, opts EnumOptions) 
 	for _, alias := range session.Aliases {
 		for k := 0; k < opts.Replicates; k++ {
 			res.ProbesSent++
-			_, err := p.Probe(ctx, alias, opts.QType)
+			_, err := p.Probe(ctx, alias, dnswire.TypeA)
 			in.countProbe(err, k > 0)
 			if err != nil {
 				res.ProbeErrors++
@@ -148,7 +143,7 @@ func EnumerateHierarchy(ctx context.Context, p Prober, in *Infra, opts EnumOptio
 		name := session.ProbeName(i)
 		for k := 0; k < opts.Replicates; k++ {
 			res.ProbesSent++
-			_, err := p.Probe(ctx, name, opts.QType)
+			_, err := p.Probe(ctx, name, dnswire.TypeA)
 			in.countProbe(err, k > 0)
 			if err != nil {
 				res.ProbeErrors++
@@ -194,9 +189,11 @@ func EnumerateUntilComplete(ctx context.Context, p Prober, in *Infra, target, ma
 	res := EnumResult{Technique: TechniqueDirect}
 	lastK := 1
 	for res.ProbesSent < maxProbes {
-		k := est.Replicates(0.99, 8)
+		k := est.Replicates(compensateConfidence, compensateMaxReplicates)
 		if k != lastK {
-			trace.Addf(ctx, "compensate", "loss=%.3f K=%d after %d probes", est.Rate(), k, res.ProbesSent)
+			if t := trace.From(ctx); t != nil {
+				t.Add("compensate", "loss=%.3f K=%d after %d probes", est.Rate(), k, res.ProbesSent)
+			}
 			lastK = k
 		}
 		for r := 0; r < k && res.ProbesSent < maxProbes; r++ {
@@ -217,14 +214,4 @@ func EnumerateUntilComplete(ctx context.Context, p Prober, in *Infra, target, ma
 		return res, ErrAllProbesFailed
 	}
 	return res, nil
-}
-
-// Enumerate picks the appropriate technique for the prober's access mode:
-// direct probers use the §IV-B1 identical-query technique, indirect
-// probers the §IV-B2b names hierarchy.
-func Enumerate(ctx context.Context, p Prober, in *Infra, opts EnumOptions) (EnumResult, error) {
-	if p.Direct() {
-		return EnumerateDirect(ctx, p, in, opts)
-	}
-	return EnumerateHierarchy(ctx, p, in, opts)
 }

@@ -34,33 +34,20 @@ type Fingerprint struct {
 	ProbesSent  int
 }
 
-// FingerprintOptions tunes the probe.
-type FingerprintOptions struct {
-	// ShallowDepth is the chain length of the trust probe; it must be
-	// within every resolver's chase budget. Zero defaults to 4.
-	ShallowDepth int
-	// ChainDepth is the limit-measurement chain length; it must exceed
-	// any plausible chase limit. Zero defaults to 24.
-	ChainDepth int
-}
-
-func (o FingerprintOptions) withDefaults() FingerprintOptions {
-	if o.ShallowDepth == 0 {
-		o.ShallowDepth = 4
-	}
-	if o.ChainDepth == 0 {
-		o.ChainDepth = 24
-	}
-	return o
-}
+// Fingerprint probe chain lengths. The trust probe's shallow chain must
+// be within every resolver's chase budget; the limit-measurement chain
+// must exceed any plausible chase limit.
+const (
+	fingerprintShallowDepth = 4
+	fingerprintChainDepth   = 24
+)
 
 // FingerprintResolver measures a platform's query-pattern fingerprint
 // with three probes: an A query for a fresh honey record (AAAA-coupling
 // check), a query into a shallow CNAME chain (chain-trust check: did the
 // platform re-query each link or accept the server-appended chain?), and
 // a query into a deep chain (chase-limit measurement).
-func FingerprintResolver(ctx context.Context, p Prober, in *Infra, opts FingerprintOptions) (Fingerprint, error) {
-	opts = opts.withDefaults()
+func FingerprintResolver(ctx context.Context, p Prober, in *Infra) (Fingerprint, error) {
 	var fp Fingerprint
 
 	// Probe 1: AAAA coupling.
@@ -76,7 +63,7 @@ func FingerprintResolver(ctx context.Context, p Prober, in *Infra, opts Fingerpr
 
 	// Probe 2: shallow chain — every resolver can complete it; only a
 	// chain-trusting one does so without querying the later links.
-	shallow, err := in.NewDeepChainSession(opts.ShallowDepth)
+	shallow, err := in.NewDeepChainSession(fingerprintShallowDepth)
 	if err != nil {
 		return fp, err
 	}
@@ -90,7 +77,7 @@ func FingerprintResolver(ctx context.Context, p Prober, in *Infra, opts Fingerpr
 	}
 
 	// Probe 3: deep chain — how far does the platform walk on its own?
-	deep, err := in.NewDeepChainSession(opts.ChainDepth)
+	deep, err := in.NewDeepChainSession(fingerprintChainDepth)
 	if err != nil {
 		return fp, err
 	}

@@ -30,7 +30,7 @@ func TestFingerprintHardenedResolver(t *testing.T) {
 	plat := w.newPlatform(t, platformOpts{caches: 1, mutate: func(c *platform.Config) {
 		c.MaxCNAMEChase = 11
 	}})
-	fp, err := FingerprintResolver(context.Background(), w.directProber(plat), w.infra, FingerprintOptions{})
+	fp, err := FingerprintResolver(context.Background(), w.directProber(plat), w.infra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestFingerprintChainTrusting(t *testing.T) {
 	plat := w.newPlatform(t, platformOpts{caches: 1, mutate: func(c *platform.Config) {
 		c.TrustAnswerChains = true
 	}})
-	fp, err := FingerprintResolver(context.Background(), w.directProber(plat), w.infra, FingerprintOptions{})
+	fp, err := FingerprintResolver(context.Background(), w.directProber(plat), w.infra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestFingerprintAAAACoupled(t *testing.T) {
 		c.QueryAAAA = true
 		c.MaxCNAMEChase = 8
 	}})
-	fp, err := FingerprintResolver(context.Background(), w.directProber(plat), w.infra, FingerprintOptions{})
+	fp, err := FingerprintResolver(context.Background(), w.directProber(plat), w.infra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,18 +92,18 @@ func TestFingerprintChaseWithinBudget(t *testing.T) {
 	// A chain shallower than the platform's limit is walked to the end.
 	w := newTestWorld(t)
 	plat := w.newPlatform(t, platformOpts{caches: 1, mutate: func(c *platform.Config) {
-		c.MaxCNAMEChase = 16
+		c.MaxCNAMEChase = 2 * fingerprintChainDepth
 	}})
-	fp, err := FingerprintResolver(context.Background(), w.directProber(plat), w.infra,
-		FingerprintOptions{ChainDepth: 6})
+	fp, err := FingerprintResolver(context.Background(), w.directProber(plat), w.infra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fp.ChaseLimited {
-		t.Errorf("fingerprint = %+v: 6-deep chain within a 16-hop budget flagged as limited", fp)
+		t.Errorf("fingerprint = %+v: %d-deep chain within a %d-hop budget flagged as limited",
+			fp, fingerprintChainDepth, 2*fingerprintChainDepth)
 	}
-	if fp.ObservedChaseDepth != 6 {
-		t.Errorf("observed depth = %d, want 6", fp.ObservedChaseDepth)
+	if fp.ObservedChaseDepth != fingerprintChainDepth {
+		t.Errorf("observed depth = %d, want %d", fp.ObservedChaseDepth, fingerprintChainDepth)
 	}
 }
 
@@ -113,7 +113,7 @@ func TestFingerprintSelectorIndependent(t *testing.T) {
 	w := newTestWorld(t)
 	plat := w.newPlatform(t, platformOpts{caches: 4, selector: loadbal.NewRandom(3),
 		mutate: func(c *platform.Config) { c.QueryAAAA = true }})
-	fp, err := FingerprintResolver(context.Background(), w.directProber(plat), w.infra, FingerprintOptions{})
+	fp, err := FingerprintResolver(context.Background(), w.directProber(plat), w.infra)
 	if err != nil {
 		t.Fatal(err)
 	}

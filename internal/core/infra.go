@@ -281,24 +281,11 @@ func (in *Infra) NewChainSession(q int) (*ChainSession, error) {
 	return &ChainSession{Aliases: aliases, TargetName: target, infra: in}, nil
 }
 
-// ObservedCaches returns ω: the number of queries for the common target
-// seen at the nameserver — one per cache that had to resolve it.
-func (s *ChainSession) ObservedCaches() int {
-	return s.infra.Parent.Log().CountName(s.TargetName)
-}
-
-// ObservedCachesType is ObservedCaches restricted to one query type. Use
-// it when the probing channel resolves each alias under several types
-// (e.g. an SMTP server checking TXT and MX), which would otherwise count
-// each cache once per type.
-func (s *ChainSession) ObservedCachesType(t dnswire.Type) int {
-	return s.infra.Parent.Log().CountNameType(s.TargetName, t)
-}
-
-// ObservedCachesBestType returns the largest per-qtype arrival count for
-// the target — correct for single-type channels and robust for channels
-// that query each alias under several types without the caller knowing
-// which.
+// ObservedCachesBestType returns ω: the largest per-qtype arrival count
+// for the common target — one query per cache that had to resolve it.
+// Taking the best type is correct for single-type channels and robust
+// for channels that query each alias under several types (e.g. an SMTP
+// server checking TXT and MX) without the caller knowing which.
 func (s *ChainSession) ObservedCachesBestType() int {
 	return s.infra.Parent.Log().CountNameMaxType(s.TargetName)
 }
@@ -441,12 +428,6 @@ func (in *Infra) NewHierarchySession(q int) (*HierarchySession, error) {
 // cache.example indicate the number of caches").
 func (s *HierarchySession) ObservedCaches() int {
 	return s.infra.Parent.Log().CountSuffix(s.ChildOrigin)
-}
-
-// ChildArrivals counts probe queries at the child nameserver (every cache
-// miss for a probe name, regardless of cached delegations).
-func (s *HierarchySession) ChildArrivals() int {
-	return s.infra.Child.Log().CountSuffix(s.ChildOrigin)
 }
 
 // ProbeName returns the i-th probe name (1-based), synthesising names

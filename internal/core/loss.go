@@ -6,16 +6,14 @@ import (
 	"sync"
 
 	"dnscde/internal/dnswire"
-	"dnscde/internal/metrics"
 	"dnscde/internal/trace"
 )
 
 // LossEstimator is an online estimator of the probe-level loss rate — the
 // measured quantity the paper's §V-B plugs into the carpet-bombing factor
 // ("the rate at which replicates are transmitted is increased according to
-// the packet loss rate"; Iran ~11%, China ~4%). It is fed either directly
-// (Record per probe) or from the metrics registry's probe counters
-// (SeedFromMetrics), and is safe for concurrent use.
+// the packet loss rate"; Iran ~11%, China ~4%). It is fed one probe
+// outcome at a time (Record) and is safe for concurrent use.
 type LossEstimator struct {
 	mu     sync.Mutex
 	sent   int64
@@ -69,26 +67,6 @@ func (e *LossEstimator) Replicates(confidence float64, maxK int) int {
 	return k
 }
 
-// SeedFromMetrics primes the estimator with the cumulative
-// "core.probes.sent"/"core.probes.errors" counters of reg, so a fresh
-// enumeration starts from the loss already observed by earlier probes on
-// the same path — the online feedback loop of §V-B. A nil registry is a
-// no-op.
-func (e *LossEstimator) SeedFromMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	sent := reg.Counter("core.probes.sent").Value()
-	failed := reg.Counter("core.probes.errors").Value()
-	if failed > sent {
-		failed = sent
-	}
-	e.mu.Lock()
-	e.sent += sent
-	e.failed += failed
-	e.mu.Unlock()
-}
-
 // probeFailed decides whether a probe outcome counts as lost for
 // compensation purposes: transport errors (timeouts) and injected server
 // failures (SERVFAIL/REFUSED) both starve the honey-record sample, so
@@ -100,30 +78,19 @@ func probeFailed(res ProbeResult, err error) bool {
 	return res.RCode != dnswire.RCodeNoError
 }
 
+// Loss compensation targets a per-probe survival 1-rate^K of
+// compensateConfidence and caps K at compensateMaxReplicates, so a
+// pathological loss estimate cannot explode the probe budget.
+const (
+	compensateConfidence    = 0.99
+	compensateMaxReplicates = 8
+)
+
 // CompensateOptions tunes loss-compensated enumeration.
 type CompensateOptions struct {
-	// Confidence is the per-probe survival target 1-rate^K; zero defaults
-	// to 0.99.
-	Confidence float64
-	// MaxReplicates caps K so a pathological loss estimate cannot explode
-	// the probe budget; zero defaults to 8.
-	MaxReplicates int
-	// Estimator, when non-nil, carries loss knowledge across enumerations
-	// (e.g. seeded from the metrics registry); nil starts fresh.
+	// Estimator, when non-nil, carries loss knowledge across
+	// enumerations; nil starts fresh.
 	Estimator *LossEstimator
-}
-
-func (o CompensateOptions) withDefaults() CompensateOptions {
-	if o.Confidence == 0 {
-		o.Confidence = 0.99
-	}
-	if o.MaxReplicates == 0 {
-		o.MaxReplicates = 8
-	}
-	if o.Estimator == nil {
-		o.Estimator = &LossEstimator{}
-	}
-	return o
 }
 
 // EnumerateDirectCompensated is EnumerateDirect with §V-B loss
@@ -134,7 +101,6 @@ func (o CompensateOptions) withDefaults() CompensateOptions {
 // packet loss rate" without a separate calibration pass.
 func EnumerateDirectCompensated(ctx context.Context, p Prober, in *Infra, opts EnumOptions, copts CompensateOptions) (EnumResult, error) {
 	opts = opts.withDefaults()
-	copts = copts.withDefaults()
 	if !p.Direct() {
 		return EnumResult{}, fmt.Errorf("core: direct enumeration needs a direct prober (local caches absorb repeated queries)")
 	}
@@ -144,20 +110,25 @@ func EnumerateDirectCompensated(ctx context.Context, p Prober, in *Infra, opts E
 	}
 	in.mEnumRounds.Inc()
 	est := copts.Estimator
+	if est == nil {
+		est = &LossEstimator{}
+	}
 	res := EnumResult{Technique: TechniqueDirect}
 	lastK := 0
 	for i := 0; i < opts.Queries; i++ {
-		k := est.Replicates(copts.Confidence, copts.MaxReplicates)
+		k := est.Replicates(compensateConfidence, compensateMaxReplicates)
 		if k < opts.Replicates {
 			k = opts.Replicates // never below the caller's explicit floor
 		}
 		if k != lastK {
-			trace.Addf(ctx, "compensate", "loss=%.3f K=%d (probe %d/%d)", est.Rate(), k, i+1, opts.Queries)
+			if t := trace.From(ctx); t != nil {
+				t.Add("compensate", "loss=%.3f K=%d (probe %d/%d)", est.Rate(), k, i+1, opts.Queries)
+			}
 			lastK = k
 		}
 		for r := 0; r < k; r++ {
 			res.ProbesSent++
-			pres, err := p.Probe(ctx, session.Honey, opts.QType)
+			pres, err := p.Probe(ctx, session.Honey, dnswire.TypeA)
 			in.countProbe(err, r > 0)
 			failed := probeFailed(pres, err)
 			est.Record(failed)

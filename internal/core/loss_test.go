@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dnscde/internal/loadbal"
-	"dnscde/internal/metrics"
 	"dnscde/internal/netsim"
 	"dnscde/internal/platform"
 )
@@ -37,23 +36,6 @@ func TestLossEstimator(t *testing.T) {
 	}
 	if k := e.Replicates(0.999999, 2); k != 2 {
 		t.Errorf("capped Replicates = %d, want 2", k)
-	}
-}
-
-func TestLossEstimatorSeedFromMetrics(t *testing.T) {
-	reg := metrics.New()
-	reg.Counter("core.probes.sent").Add(100)
-	reg.Counter("core.probes.errors").Add(11)
-	var e LossEstimator
-	e.SeedFromMetrics(reg)
-	if got := e.Rate(); math.Abs(got-0.11) > 1e-12 {
-		t.Errorf("seeded Rate = %v, want 0.11 (Iran-grade loss)", got)
-	}
-	// Nil registry is a no-op; errors can never exceed sent.
-	e2 := &LossEstimator{}
-	e2.SeedFromMetrics(nil)
-	if r := e2.Rate(); r != 0 {
-		t.Errorf("nil-registry Rate = %v, want 0", r)
 	}
 }
 
@@ -192,12 +174,5 @@ func TestLossEstimatorZeroProbesDefined(t *testing.T) {
 		if k := e.Replicates(conf, 8); k != 1 {
 			t.Errorf("Replicates(conf=%v, cap 8) at sent==0 = %d, want 1", conf, k)
 		}
-	}
-	// The contract holds for the metrics-seeded path too: an all-zero
-	// registry must not manufacture replication.
-	var seeded LossEstimator
-	seeded.SeedFromMetrics(metrics.New())
-	if k := seeded.Replicates(0.99, 8); k != 1 {
-		t.Errorf("Replicates after seeding from empty registry = %d, want 1", k)
 	}
 }

@@ -14,28 +14,9 @@ import (
 
 // MappingOptions tunes the cluster-mapping procedure.
 type MappingOptions struct {
-	// SeedQueries plants the honey record in (statistically) all caches
-	// of a cluster; zero defaults to RecommendedQueries(8, 0.99).
-	SeedQueries int
-	// CheckQueries probes a candidate ingress IP for the honey record;
-	// zero defaults to SeedQueries (generous, to sample every cache of
-	// the candidate's cluster).
-	CheckQueries int
-	// Replicates is the carpet-bombing factor applied to each query.
+	// Replicates is the carpet-bombing factor applied to each query;
+	// zero defaults to 1.
 	Replicates int
-}
-
-func (o MappingOptions) withDefaults() MappingOptions {
-	if o.SeedQueries == 0 {
-		o.SeedQueries = RecommendedQueries(8, 0.99)
-	}
-	if o.CheckQueries == 0 {
-		o.CheckQueries = o.SeedQueries
-	}
-	if o.Replicates == 0 {
-		o.Replicates = 1
-	}
-	return o
 }
 
 // ClusterResult groups ingress IPs by the cache cluster they map to.
@@ -60,10 +41,14 @@ type ClusterResult struct {
 //
 // makeProber must return a direct prober for the given ingress IP.
 func MapIngressClusters(ctx context.Context, in *Infra, ingress []netip.Addr, makeProber func(netip.Addr) Prober, opts MappingOptions) (ClusterResult, error) {
-	opts = opts.withDefaults()
 	if len(ingress) == 0 {
 		return ClusterResult{}, fmt.Errorf("core: no ingress IPs to map")
 	}
+	// Seeding and checking each send enough queries to reach every cache
+	// of an up-to-8-cache cluster with 99% confidence: seeding plants the
+	// honey record everywhere, checking samples every cache of the
+	// candidate's cluster.
+	probes := RecommendedQueries(8, 0.99) * max(opts.Replicates, 1)
 
 	var result ClusterResult
 	reps := make([]Prober, 0, 4) // representative prober per cluster
@@ -78,14 +63,14 @@ func MapIngressClusters(ctx context.Context, in *Infra, ingress []netip.Addr, ma
 			}
 			// Seed through the cluster representative, covering (with high
 			// probability) every cache of that cluster.
-			for i := 0; i < opts.SeedQueries*opts.Replicates; i++ {
+			for i := 0; i < probes; i++ {
 				result.ProbesSent++
 				_, _ = rep.Probe(ctx, honey.Honey, dnswire.TypeA) // losses tolerated
 			}
 			seeded := honey.ObservedCaches()
 			// Check through the candidate: same cluster ⇒ every check is a
 			// cache hit ⇒ no new arrivals at the nameserver.
-			for i := 0; i < opts.CheckQueries*opts.Replicates; i++ {
+			for i := 0; i < probes; i++ {
 				result.ProbesSent++
 				_, _ = candidate.Probe(ctx, honey.Honey, dnswire.TypeA)
 			}
@@ -108,44 +93,4 @@ type EgressResult struct {
 	// IPs are the distinct egress addresses observed at the nameservers.
 	IPs        []netip.Addr
 	ProbesSent int
-}
-
-// DiscoverEgress finds the egress IP addresses of the platform behind
-// prober p (§IV-B1b: "By repeating the experiment with a set of queries
-// ... and checking which egress IP addresses they arrive from at our
-// nameservers, all the egress addresses can be covered"). It probes q
-// distinct names in a fresh delegated zone so every probe exercises the
-// egress path, then reads the source addresses from both nameserver logs.
-func DiscoverEgress(ctx context.Context, p Prober, in *Infra, opts EnumOptions) (EgressResult, error) {
-	opts = opts.withDefaults()
-	session, err := in.NewHierarchySession(opts.Queries)
-	if err != nil {
-		return EgressResult{}, err
-	}
-	var result EgressResult
-	failures := 0
-	for i := 1; i <= opts.Queries; i++ {
-		name := session.ProbeName(i)
-		for k := 0; k < opts.Replicates; k++ {
-			result.ProbesSent++
-			if _, err := p.Probe(ctx, name, opts.QType); err != nil {
-				failures++
-			}
-		}
-	}
-	if failures == result.ProbesSent {
-		return result, ErrAllProbesFailed
-	}
-	seen := make(map[netip.Addr]struct{})
-	for _, src := range in.Parent.Log().DistinctSources(session.ChildOrigin) {
-		seen[src] = struct{}{}
-	}
-	for _, src := range in.Child.Log().DistinctSources(session.ChildOrigin) {
-		seen[src] = struct{}{}
-	}
-	result.IPs = make([]netip.Addr, 0, len(seen))
-	for src := range seen {
-		result.IPs = append(result.IPs, src)
-	}
-	return result, nil
 }

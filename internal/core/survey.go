@@ -24,8 +24,7 @@ type Survey struct {
 	SoftwareClass Software
 	// TTL is the inferred clamping policy.
 	TTL TTLPolicy
-	// Timing carries the latency-channel cross-check (0 probes when the
-	// survey skipped it).
+	// Timing carries the latency-channel cross-check.
 	Timing TimingResult
 
 	ProbesSent int
@@ -36,11 +35,6 @@ type SurveyOptions struct {
 	// ExtraVantages improve selection classification on
 	// hash-by-source-IP platforms (see ClassifyOptions).
 	ExtraVantages []Prober
-	// SkipTiming disables the latency cross-check.
-	SkipTiming bool
-	// EgressWindow/EgressMaxProbes tune egress discovery; zeros use the
-	// DiscoverEgressAdaptive defaults.
-	EgressWindow, EgressMaxProbes int
 }
 
 // SurveyPlatform runs the full CDE measurement suite against the platform
@@ -59,7 +53,7 @@ func SurveyPlatform(ctx context.Context, p Prober, in *Infra, opts SurveyOptions
 	s.Caches = caches
 	s.ProbesSent += caches.ProbesSent
 
-	egress, err := DiscoverEgressAdaptive(ctx, p, in, opts.EgressWindow, opts.EgressMaxProbes)
+	egress, err := DiscoverEgressAdaptive(ctx, p, in, 0, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: survey egress discovery: %w", err)
 	}
@@ -74,7 +68,7 @@ func SurveyPlatform(ctx context.Context, p Prober, in *Infra, opts SurveyOptions
 	s.Selection = selection
 	s.ProbesSent += selection.ProbesSent
 
-	fp, err := FingerprintResolver(ctx, p, in, FingerprintOptions{})
+	fp, err := FingerprintResolver(ctx, p, in)
 	if err != nil {
 		return nil, fmt.Errorf("core: survey fingerprint: %w", err)
 	}
@@ -89,16 +83,14 @@ func SurveyPlatform(ctx context.Context, p Prober, in *Infra, opts SurveyOptions
 	s.TTL = ttl
 	s.ProbesSent += ttl.ProbesSent
 
-	if !opts.SkipTiming {
-		timing, err := EnumerateTimingDirect(ctx, p, in, TimingOptions{
-			CountProbes: RecommendedQueries(maxInt(s.Caches.Caches+1, 4), 0.99),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: survey timing channel: %w", err)
-		}
-		s.Timing = timing
-		s.ProbesSent += timing.ProbesSent
+	timing, err := EnumerateTimingDirect(ctx, p, in, TimingOptions{
+		CountProbes: RecommendedQueries(maxInt(s.Caches.Caches+1, 4), 0.99),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: survey timing channel: %w", err)
 	}
+	s.Timing = timing
+	s.ProbesSent += timing.ProbesSent
 	return s, nil
 }
 
@@ -114,10 +106,8 @@ func (s *Survey) Render() string {
 		s.SoftwareClass, s.Software.ObservedChaseDepth, s.Software.ChaseLimited,
 		s.Software.QueriesAAAA, s.Software.TrustsServerChains)
 	fmt.Fprintf(&sb, "TTL policy:        %s\n", renderTTLPolicy(s.TTL))
-	if s.Timing.ProbesSent > 0 {
-		fmt.Fprintf(&sb, "timing cross-check: %d caches (threshold %v)\n",
-			s.Timing.Caches, s.Timing.Threshold)
-	}
+	fmt.Fprintf(&sb, "timing cross-check: %d caches (threshold %v)\n",
+		s.Timing.Caches, s.Timing.Threshold)
 	fmt.Fprintf(&sb, "total probes:      %d\n", s.ProbesSent)
 	return sb.String()
 }

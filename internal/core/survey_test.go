@@ -64,22 +64,6 @@ func TestSurveyPlatformCompleteProfile(t *testing.T) {
 	}
 }
 
-func TestSurveySkipTiming(t *testing.T) {
-	w := newTestWorld(t)
-	plat := w.newPlatform(t, platformOpts{caches: 2})
-	survey, err := SurveyPlatform(context.Background(), w.directProber(plat), w.infra,
-		SurveyOptions{SkipTiming: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if survey.Timing.ProbesSent != 0 {
-		t.Error("timing ran despite SkipTiming")
-	}
-	if strings.Contains(survey.Render(), "timing cross-check") {
-		t.Error("render shows skipped timing")
-	}
-}
-
 func TestSurveyRejectsIndirect(t *testing.T) {
 	w := newTestWorld(t)
 	plat := w.newPlatform(t, platformOpts{caches: 1})

@@ -84,14 +84,16 @@ func durMedian(ds []time.Duration) time.Duration {
 	return (sorted[mid-1] + sorted[mid]) / 2
 }
 
+// Timing-channel calibration: timingSeedQueries force the calibration
+// honey record into all caches (the paper's example redundancy), and
+// timingCalibration is the number of latency samples per class.
+const (
+	timingSeedQueries = 100
+	timingCalibration = 16
+)
+
 // TimingOptions tunes the timing-channel enumeration.
 type TimingOptions struct {
-	// SeedQueries force the calibration honey record into all caches;
-	// zero defaults to 100, the paper's example redundancy.
-	SeedQueries int
-	// Calibration is the number of latency samples per class; zero
-	// defaults to 16.
-	Calibration int
 	// CountProbes is the probe budget of the counting phase; zero
 	// defaults to RecommendedQueries(8, 0.99).
 	CountProbes int
@@ -101,12 +103,6 @@ type TimingOptions struct {
 }
 
 func (o TimingOptions) withDefaults() TimingOptions {
-	if o.SeedQueries == 0 {
-		o.SeedQueries = 100
-	}
-	if o.Calibration == 0 {
-		o.Calibration = 16
-	}
 	if o.CountProbes == 0 {
 		o.CountProbes = RecommendedQueries(8, 0.99)
 	}
@@ -146,12 +142,12 @@ func EnumerateTimingDirect(ctx context.Context, p Prober, in *Infra, opts Timing
 	var result TimingResult
 
 	// Phase 1: force the calibration honey record into all caches.
-	for i := 0; i < opts.SeedQueries; i++ {
+	for i := 0; i < timingSeedQueries; i++ {
 		result.ProbesSent++
 		_, _ = p.Probe(ctx, calib.Honey, dnswire.TypeA)
 	}
 	// Phase 2a: cached-latency samples (honey is now everywhere).
-	for i := 0; i < opts.Calibration; i++ {
+	for i := 0; i < timingCalibration; i++ {
 		result.ProbesSent++
 		pr, err := p.Probe(ctx, calib.Honey, dnswire.TypeA)
 		if err != nil {
@@ -161,7 +157,7 @@ func EnumerateTimingDirect(ctx context.Context, p Prober, in *Infra, opts Timing
 	}
 	// Phase 2b: uncached-latency samples — random subdomains of the honey
 	// name never exist and always traverse the egress path.
-	for i := 0; i < opts.Calibration; i++ {
+	for i := 0; i < timingCalibration; i++ {
 		result.ProbesSent++
 		pr, err := p.Probe(ctx, calib.FreshName(i), dnswire.TypeA)
 		if err != nil {
@@ -203,7 +199,7 @@ func EnumerateTimingDirect(ctx context.Context, p Prober, in *Infra, opts Timing
 func EnumerateTimingIndirect(ctx context.Context, p Prober, in *Infra, opts TimingOptions) (TimingResult, error) {
 	opts = opts.withDefaults()
 	q := opts.CountProbes
-	tail := opts.Calibration
+	tail := timingCalibration
 	session, err := in.NewHierarchySession(q + tail)
 	if err != nil {
 		return TimingResult{}, err

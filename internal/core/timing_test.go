@@ -82,10 +82,18 @@ func TestTimingDirectWithJitter(t *testing.T) {
 
 func TestTimingOptionsDefaults(t *testing.T) {
 	o := TimingOptions{}.withDefaults()
-	if o.SeedQueries != 100 {
-		t.Errorf("SeedQueries = %d, want the paper's 100", o.SeedQueries)
-	}
-	if o.Calibration == 0 || o.CountProbes == 0 || o.Threshold == nil {
+	if o.CountProbes == 0 || o.Threshold == nil {
 		t.Errorf("defaults incomplete: %+v", o)
+	}
+	// The direct run spends the paper's 100 seed queries, 16 calibration
+	// samples per latency class, then the counting budget.
+	w := newTestWorld(t)
+	plat := w.newPlatform(t, platformOpts{caches: 1})
+	res, err := EnumerateTimingDirect(context.Background(), w.directProber(plat), w.infra, TimingOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 100 + 2*16 + o.CountProbes; res.ProbesSent != want {
+		t.Errorf("probes = %d, want %d", res.ProbesSent, want)
 	}
 }

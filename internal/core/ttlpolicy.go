@@ -29,14 +29,15 @@ type TTLPolicy struct {
 	ProbesSent            int
 }
 
+// Authoritative TTLs of the floor and cap probe records: well under
+// common min-TTL clamps and well over common max-TTL clamps.
+const (
+	ttlProbeLow  = 5 * time.Second
+	ttlProbeHigh = 7 * 24 * time.Hour
+)
+
 // TTLProbeOptions tunes InferTTLPolicy.
 type TTLProbeOptions struct {
-	// LowTTL is the authoritative TTL of the floor probe; zero defaults
-	// to 5s (well under common min-TTL clamps).
-	LowTTL time.Duration
-	// HighTTL is the authoritative TTL of the cap probe; zero defaults
-	// to 7 days (well over common max-TTL clamps).
-	HighTTL time.Duration
 	// Probes per record; zero defaults to 24. Multiple probes are needed
 	// because only *cache hits* expose the clamp, and under a multi-cache
 	// load balancer any single repeat may land on a cold cache.
@@ -44,12 +45,6 @@ type TTLProbeOptions struct {
 }
 
 func (o TTLProbeOptions) withDefaults() TTLProbeOptions {
-	if o.LowTTL == 0 {
-		o.LowTTL = 5 * time.Second
-	}
-	if o.HighTTL == 0 {
-		o.HighTTL = 7 * 24 * time.Hour
-	}
 	if o.Probes == 0 {
 		o.Probes = 24
 	}
@@ -103,22 +98,22 @@ func InferTTLPolicy(ctx context.Context, p Prober, in *Infra, opts TTLProbeOptio
 		return minServed, maxServed, nil
 	}
 
-	_, lowMax, err := probeServed(uint32(opts.LowTTL / time.Second))
+	_, lowMax, err := probeServed(uint32(ttlProbeLow / time.Second))
 	if err != nil {
 		return policy, err
 	}
 	policy.LowServed = lowMax
 	// Allow one second of decay slack between caching and serving.
-	if lowMax > opts.LowTTL+time.Second {
+	if lowMax > ttlProbeLow+time.Second {
 		policy.MinTTL = lowMax
 	}
 
-	highMin, _, err := probeServed(uint32(opts.HighTTL / time.Second))
+	highMin, _, err := probeServed(uint32(ttlProbeHigh / time.Second))
 	if err != nil {
 		return policy, err
 	}
 	policy.HighServed = highMin
-	if highMin > 0 && highMin+time.Second < opts.HighTTL {
+	if highMin > 0 && highMin+time.Second < ttlProbeHigh {
 		policy.MaxTTL = highMin
 	}
 	return policy, nil

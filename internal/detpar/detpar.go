@@ -7,7 +7,7 @@
 // parallelism"):
 //
 //   - Per-index randomness. Trial i never shares an RNG with trial j:
-//     ForEach derives an independent seed for every index via a splitmix64
+//     Map derives an independent seed for every index via a splitmix64
 //     mix of the caller's seed, so the random stream a trial consumes
 //     depends only on (seed, i), never on scheduling.
 //   - Index-ordered merge. Results land in a slice slot owned by their
@@ -74,34 +74,25 @@ func Derive(seed int64, salts ...uint64) int64 {
 }
 
 // Rand returns the deterministic RNG for index i under seed: the stream
-// ForEach hands to fn(i, rng). Exposed so a sequential caller (or a test)
+// Map hands to fn(i, rng). Exposed so a sequential caller (or a test)
 // can reproduce exactly what a parallel run consumed.
 func Rand(seed int64, i int) *rand.Rand {
 	return rand.New(rand.NewSource(Derive(seed, uint64(i))))
 }
 
-// ForEach runs fn(i, rng) for every i in [0, n) on a bounded pool of
-// workers. Each index receives its own RNG (see Rand), so the work is
-// byte-identical at any worker count. The first error by index order is
-// returned; after any error (or ctx cancellation) remaining indices are
-// skipped. fn must not retain rng beyond its call.
-func ForEach(ctx context.Context, seed int64, n, workers int, fn func(i int, rng *rand.Rand) error) error {
-	_, err := mapIndexed(ctx, n, workers, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i, Rand(seed, i))
-	})
-	return err
-}
-
-// Map runs fn(i, rng) for every i in [0, n) like ForEach and merges the
-// results in index order, so out[i] is always trial i's result regardless
-// of scheduling.
+// Map runs fn(i, rng) for every i in [0, n) on a bounded pool of workers
+// and merges the results in index order, so out[i] is always trial i's
+// result regardless of scheduling. Each index receives its own RNG (see
+// Rand), so the work is byte-identical at any worker count. The first
+// error by index order is returned; after any error (or ctx cancellation)
+// remaining indices are skipped. fn must not retain rng beyond its call.
 func Map[T any](ctx context.Context, seed int64, n, workers int, fn func(i int, rng *rand.Rand) (T, error)) ([]T, error) {
 	return mapIndexed(ctx, n, workers, func(i int) (T, error) {
 		return fn(i, Rand(seed, i))
 	})
 }
 
-// Each is ForEach for trial bodies that need no randomness (or that derive
+// Each is Map for trial bodies that need no randomness (or that derive
 // their own seeds with Derive): fn(i) runs for every i in [0, n) on the
 // bounded pool, with the same index-ordered error contract.
 func Each(ctx context.Context, n, workers int, fn func(i int) error) error {

@@ -45,10 +45,8 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestRandMatchesForEach: the RNG handed to fn(i, ·) is exactly Rand(seed, i),
 // so sequential callers can reproduce a parallel stream.
 func TestRandMatchesForEach(t *testing.T) {
-	got := make([]int64, 16)
-	err := ForEach(context.Background(), 42, 16, 4, func(i int, rng *rand.Rand) error {
-		got[i] = rng.Int63()
-		return nil
+	got, err := Map(context.Background(), 42, 16, 4, func(_ int, rng *rand.Rand) (int64, error) {
+		return rng.Int63(), nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,9 +26,6 @@ type Policy struct {
 	MinTTL time.Duration
 	// MaxTTL, when > 0, caps every stored TTL.
 	MaxTTL time.Duration
-	// NegativeTTL, when > 0, caps the TTL of negative entries. When 0 the
-	// SOA minimum (RFC 2308) provided by the caller is used as-is.
-	NegativeTTL time.Duration
 	// Capacity, when > 0, bounds the number of entries; least recently
 	// used entries are evicted first.
 	Capacity int
@@ -119,45 +116,6 @@ func (c *Cache) Len() int {
 	return len(c.items)
 }
 
-// Flush drops every entry.
-func (c *Cache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.items = make(map[string]*item)
-	c.order.Init()
-}
-
-// FlushName drops all entries for the given question name (any type).
-func (c *Cache) FlushName(name string) {
-	name = dnswire.CanonicalName(name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, it := range c.items {
-		if it.entry.ownerName() == name || keyName(key) == name {
-			c.order.Remove(it.lru)
-			delete(c.items, key)
-		}
-	}
-}
-
-// keyName extracts the name component of a Question.Key().
-func keyName(key string) string {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '|' {
-			return key[:i]
-		}
-	}
-	return key
-}
-
-// ownerName returns the owner of the first record, or "".
-func (e Entry) ownerName() string {
-	if len(e.Records) == 0 {
-		return ""
-	}
-	return dnswire.CanonicalName(e.Records[0].Name)
-}
-
 // Put stores a response for q. The entry's lifetime is the minimum
 // remaining TTL across its records (or the negative TTL), clamped by the
 // policy. Entries with an effective TTL of zero are not stored.
@@ -214,9 +172,6 @@ func (c *Cache) effectiveTTL(e Entry) time.Duration {
 				}
 			}
 			ttl = soaTTL
-		}
-		if c.policy.NegativeTTL > 0 && (ttl == 0 || ttl > c.policy.NegativeTTL) {
-			ttl = c.policy.NegativeTTL
 		}
 		return c.policy.ClampTTL(ttl)
 	}

@@ -138,11 +138,16 @@ func TestNegativeCachingUsesSOAMinimum(t *testing.T) {
 	}
 }
 
+// TestNegativeTTLPolicyCaps: the SOA minimum is the negative TTL, and the
+// policy's max-TTL clamp caps it like any other TTL.
 func TestNegativeTTLPolicyCaps(t *testing.T) {
-	c := New("c1", Policy{NegativeTTL: 5 * time.Second})
+	c := New("c1", Policy{MaxTTL: 5 * time.Second})
 	c.Put(q("nx.example"), negEntry(dnswire.RCodeNXDomain, 3600, 3600), _epoch)
+	if _, ok := c.Get(q("nx.example"), _epoch.Add(4*time.Second)); !ok {
+		t.Error("negative entry missed while fresh")
+	}
 	if _, ok := c.Get(q("nx.example"), _epoch.Add(6*time.Second)); ok {
-		t.Error("negative entry outlived NegativeTTL policy")
+		t.Error("negative entry outlived the max-TTL policy")
 	}
 }
 
@@ -197,32 +202,6 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 	}
 	if hits, misses := count(reg, "hits"), count(reg, "misses"); hits != 0 || misses != 0 {
 		t.Errorf("Contains perturbed counters: hits = %d, misses = %d", hits, misses)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := New("c1", Policy{})
-	c.Put(q("a.example"), aEntry("a.example", 300), _epoch)
-	c.Put(q("b.example"), aEntry("b.example", 300), _epoch)
-	c.Flush()
-	if c.Len() != 0 {
-		t.Errorf("Len = %d after Flush", c.Len())
-	}
-}
-
-func TestFlushName(t *testing.T) {
-	c := New("c1", Policy{})
-	c.Put(q("a.example"), aEntry("a.example", 300), _epoch)
-	txtQ := dnswire.Question{Name: "a.example.", Type: dnswire.TypeTXT, Class: dnswire.ClassIN}
-	c.Put(txtQ, Entry{Records: []dnswire.RR{{Name: "a.example.", Class: dnswire.ClassIN, TTL: 300,
-		Data: dnswire.TXTRecord{Strings: []string{"x"}}}}}, _epoch)
-	c.Put(q("b.example"), aEntry("b.example", 300), _epoch)
-	c.FlushName("A.Example")
-	if c.Len() != 1 {
-		t.Errorf("Len = %d after FlushName, want 1", c.Len())
-	}
-	if _, ok := c.Get(q("b.example"), _epoch); !ok {
-		t.Error("unrelated entry flushed")
 	}
 }
 

@@ -94,17 +94,6 @@ func IsSubdomain(child, parent string) bool {
 	return c == p || strings.HasSuffix(c, "."+p)
 }
 
-// ParentName returns the name with its leftmost label removed.
-// ParentName("a.b.example.") returns "b.example."; the parent of the root
-// is the root.
-func ParentName(name string) string {
-	labels := SplitLabels(name)
-	if len(labels) <= 1 {
-		return "."
-	}
-	return strings.Join(labels[1:], ".") + "."
-}
-
 // ValidateName checks that name satisfies the RFC 1035 length limits.
 // It allocates only on the error path.
 func ValidateName(name string) error {

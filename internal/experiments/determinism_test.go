@@ -30,12 +30,17 @@ func TestWorkersInvariance(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			render := func(workers int) string {
+				// Scale never reads Workers, so it runs at the small
+				// population TestShardInvariance uses rather than its
+				// 1M-client default.
 				cfg := Config{
 					Seed:          2017,
 					OpenResolvers: 30,
 					Enterprises:   20,
 					ISPs:          6,
 					Workers:       workers,
+					ScaleClients:  30_000,
+					ScaleCaches:   600,
 				}
 				report, err := RunContext(context.Background(), id, cfg)
 				if err != nil {

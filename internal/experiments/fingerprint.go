@@ -82,7 +82,7 @@ func FingerprintSurvey(ctx context.Context, cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		fp, err := core.FingerprintResolver(ctx, w.DirectProber(plat.Config().IngressIPs[0]), w.Infra, core.FingerprintOptions{})
+		fp, err := core.FingerprintResolver(ctx, w.DirectProber(plat.Config().IngressIPs[0]), w.Infra)
 		if err != nil {
 			return nil, err
 		}

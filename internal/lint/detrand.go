@@ -15,7 +15,7 @@ import (
 // is not safe for concurrent use, and even under a mutex the draw order
 // would depend on goroutine scheduling — exactly the nondeterminism the
 // detpar per-index seed derivation exists to avoid. Pass each goroutine
-// its own derived RNG (detpar.Rand / detpar.ForEach) instead.
+// its own derived RNG (detpar.Rand / detpar.Map) instead.
 var Detrand = &Analyzer{
 	Name: "detrand",
 	Doc:  "flags package-level math/rand draws (rand.Intn, ...), rand.Seed, and *rand.Rand values captured by goroutine literals in non-test code",
@@ -130,7 +130,7 @@ func checkGoroutineCaptures(p *Pass, f *File) {
 			}
 			reported[obj] = true
 			p.Reportf(id.Pos(),
-				"*rand.Rand %q is captured by a goroutine literal; draws become scheduling-dependent — derive a per-goroutine RNG (detpar.Rand / detpar.ForEach) instead", id.Name)
+				"*rand.Rand %q is captured by a goroutine literal; draws become scheduling-dependent — derive a per-goroutine RNG (detpar.Rand / detpar.Map) instead", id.Name)
 			return true
 		})
 		return true

@@ -51,6 +51,29 @@ func (c Category) String() string {
 	}
 }
 
+// Names lists the selector names New accepts — the vocabulary of the
+// scenario grammar's selector key and cdescan's -selector flag.
+func Names() []string {
+	return []string{"random", "round-robin", "hash-qname", "hash-source-ip"}
+}
+
+// New returns the selector called name (one of Names); seed seeds the
+// random selector.
+func New(name string, seed int64) (Selector, error) {
+	switch name {
+	case "random":
+		return NewRandom(seed), nil
+	case "round-robin":
+		return NewRoundRobin(), nil
+	case "hash-qname":
+		return HashQName{}, nil
+	case "hash-source-ip":
+		return HashSourceIP{}, nil
+	default:
+		return nil, fmt.Errorf("loadbal: unknown selector %q", name)
+	}
+}
+
 // Selector picks which of n caches handles a query. Implementations must
 // be safe for concurrent use.
 type Selector interface {
@@ -159,69 +182,3 @@ func (HashSourceIP) Category() Category { return KeyDependent }
 
 // Name implements Selector.
 func (HashSourceIP) Name() string { return "hash-source-ip" }
-
-// Weighted picks caches randomly with non-uniform probabilities, modelling
-// heterogeneous platforms where some caches take more traffic. It is
-// unpredictable, but the coupon-collector bound of Theorem 5.1 (uniform
-// p_i = 1/n) becomes a lower bound: skewed weights need more probes.
-type Weighted struct {
-	mu      sync.Mutex
-	rng     *rand.Rand
-	src     *detpar.CountingSource
-	weights []float64
-	total   float64
-}
-
-var _ Selector = (*Weighted)(nil)
-
-// NewWeighted returns a weighted random selector. The weights slice is
-// copied; weights must be positive and at least as many as the cache count
-// passed to Select.
-func NewWeighted(seed int64, weights []float64) (*Weighted, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("loadbal: no weights")
-	}
-	total := 0.0
-	for i, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("loadbal: weight %d is %v, want > 0", i, w)
-		}
-		total += w
-	}
-	src := detpar.NewCountingSource(seed)
-	return &Weighted{
-		rng:     rand.New(src),
-		src:     src,
-		weights: append([]float64(nil), weights...),
-		total:   total,
-	}, nil
-}
-
-// Select implements Selector. If n exceeds the configured weights, the
-// extra caches get the mean weight.
-func (w *Weighted) Select(_ dnswire.Question, _ netip.Addr, n int) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if n > len(w.weights) {
-		// Degenerate configuration; fall back to uniform.
-		return w.rng.Intn(n)
-	}
-	total := 0.0
-	for _, wt := range w.weights[:n] {
-		total += wt
-	}
-	x := w.rng.Float64() * total
-	for i, wt := range w.weights[:n] {
-		x -= wt
-		if x < 0 {
-			return i
-		}
-	}
-	return n - 1
-}
-
-// Category implements Selector.
-func (*Weighted) Category() Category { return Unpredictable }
-
-// Name implements Selector.
-func (*Weighted) Name() string { return "weighted-random" }

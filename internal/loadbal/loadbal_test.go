@@ -122,45 +122,22 @@ func TestHashSourceIPDeterministicPerClient(t *testing.T) {
 	}
 }
 
-func TestWeightedRespectsWeights(t *testing.T) {
-	s, err := NewWeighted(7, []float64{8, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const trials = 30000
-	counts := make([]int, 3)
-	for i := 0; i < trials; i++ {
-		counts[s.Select(qn("a.example"), clientA, 3)]++
-	}
-	frac0 := float64(counts[0]) / trials
-	if frac0 < 0.76 || frac0 > 0.84 {
-		t.Errorf("heavy cache got %.3f of traffic, want ≈0.8", frac0)
-	}
-}
-
-func TestWeightedValidation(t *testing.T) {
-	if _, err := NewWeighted(1, nil); err == nil {
-		t.Error("nil weights accepted")
-	}
-	if _, err := NewWeighted(1, []float64{1, -2}); err == nil {
-		t.Error("negative weight accepted")
-	}
-}
-
-func TestWeightedFallsBackWhenNTooLarge(t *testing.T) {
-	s, err := NewWeighted(7, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if got := s.Select(qn("a"), clientA, 5); got < 0 || got >= 5 {
-			t.Fatalf("out of range: %d", got)
+func TestNewByName(t *testing.T) {
+	for _, name := range Names() {
+		s, err := New(name, 1)
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
 		}
+		if s.Name() != name {
+			t.Errorf("New(%q) built %q", name, s.Name())
+		}
+	}
+	if _, err := New("weighted-random", 1); err == nil {
+		t.Error("unknown selector accepted")
 	}
 }
 
 func TestCategories(t *testing.T) {
-	w, _ := NewWeighted(1, []float64{1})
 	tests := []struct {
 		s    Selector
 		want Category
@@ -169,7 +146,6 @@ func TestCategories(t *testing.T) {
 		{NewRandom(1), Unpredictable},
 		{HashQName{}, KeyDependent},
 		{HashSourceIP{}, KeyDependent},
-		{w, Unpredictable},
 	}
 	for _, tt := range tests {
 		if got := tt.s.Category(); got != tt.want {
@@ -187,8 +163,7 @@ func TestCategories(t *testing.T) {
 func TestPropertySelectionsInRange(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 	selectors := func(seed int64) []Selector {
-		w, _ := NewWeighted(seed, []float64{3, 1, 1, 2})
-		return []Selector{NewRoundRobin(), NewRandom(seed), HashQName{}, HashSourceIP{}, w}
+		return []Selector{NewRoundRobin(), NewRandom(seed), HashQName{}, HashSourceIP{}}
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -210,8 +185,7 @@ func TestPropertySelectionsInRange(t *testing.T) {
 }
 
 func TestConcurrentSelectors(t *testing.T) {
-	w, _ := NewWeighted(3, []float64{1, 2, 3, 4})
-	for _, s := range []Selector{NewRoundRobin(), NewRandom(3), w} {
+	for _, s := range []Selector{NewRoundRobin(), NewRandom(3)} {
 		var wg sync.WaitGroup
 		for i := 0; i < 16; i++ {
 			wg.Add(1)
@@ -230,9 +204,8 @@ func TestConcurrentSelectors(t *testing.T) {
 }
 
 func BenchmarkSelectors(b *testing.B) {
-	w, _ := NewWeighted(1, []float64{1, 2, 3, 4})
 	question := qn("bench.example")
-	for _, s := range []Selector{NewRoundRobin(), NewRandom(1), HashQName{}, HashSourceIP{}, w} {
+	for _, s := range []Selector{NewRoundRobin(), NewRandom(1), HashQName{}, HashSourceIP{}} {
 		b.Run(s.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

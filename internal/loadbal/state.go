@@ -30,10 +30,6 @@ func CaptureState(s Selector) (State, bool) {
 		sel.mu.Lock()
 		defer sel.mu.Unlock()
 		return State{Kind: sel.Name(), Draws: sel.src.Draws()}, true
-	case *Weighted:
-		sel.mu.Lock()
-		defer sel.mu.Unlock()
-		return State{Kind: sel.Name(), Draws: sel.src.Draws()}, true
 	case HashQName, HashSourceIP:
 		return State{Kind: s.Name()}, true
 	default:
@@ -58,10 +54,6 @@ func RestoreState(s Selector, st State) error {
 		defer sel.mu.Unlock()
 		sel.next = st.Pos
 	case *Random:
-		sel.mu.Lock()
-		defer sel.mu.Unlock()
-		sel.src.SkipTo(st.Draws)
-	case *Weighted:
 		sel.mu.Lock()
 		defer sel.mu.Unlock()
 		sel.src.SkipTo(st.Draws)

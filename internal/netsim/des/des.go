@@ -205,21 +205,6 @@ func (s *Scheduler) ScheduleAt(at Time, a Actor, op uint8) {
 	s.siftUp(len(s.heap) - 1)
 }
 
-// Step dispatches the single earliest pending event. It reports false
-// when the queue is empty.
-//
-//cdelint:hotpath
-func (s *Scheduler) Step() bool {
-	if len(s.heap) == 0 {
-		return false
-	}
-	ev := s.pop()
-	s.now = ev.at
-	s.dispatched++
-	ev.actor.Fire(ev.at, ev.op)
-	return true
-}
-
 // Run dispatches events in (time, order) until the queue drains,
 // returning the number of events fired. Actors may schedule further
 // events from inside Fire; they join the queue in order.
@@ -228,20 +213,6 @@ func (s *Scheduler) Step() bool {
 func (s *Scheduler) Run() uint64 {
 	start := s.dispatched
 	for s.drain() {
-	}
-	return s.dispatched - start
-}
-
-// RunUntil dispatches events whose timestamp is <= deadline, leaving
-// later events queued, and advances Now to deadline when the queue ran
-// dry early — the simulated-time barrier checkpointing needs.
-func (s *Scheduler) RunUntil(deadline Time) uint64 {
-	start := s.dispatched
-	for len(s.heap) > 0 && s.heap[0].at <= deadline {
-		s.drain()
-	}
-	if s.now < deadline {
-		s.now = deadline
 	}
 	return s.dispatched - start
 }

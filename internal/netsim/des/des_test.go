@@ -114,26 +114,6 @@ func TestScheduleAtClampsToNow(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := NewScheduler()
-	r := &recorder{}
-	s.Schedule(10*time.Millisecond, r, 1)
-	s.Schedule(20*time.Millisecond, r, 2)
-	s.Schedule(30*time.Millisecond, r, 3)
-	if n := s.RunUntil(Time(20 * time.Millisecond)); n != 2 {
-		t.Fatalf("RunUntil dispatched %d, want 2", n)
-	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", s.Pending())
-	}
-	// An early-drained queue still advances the clock to the barrier.
-	s2 := NewScheduler()
-	s2.RunUntil(Time(time.Second))
-	if s2.Now() != Time(time.Second) {
-		t.Errorf("Now = %v, want 1s barrier", s2.Now())
-	}
-}
-
 func TestResetRecyclesCapacity(t *testing.T) {
 	s := NewScheduler()
 	r := &recorder{}
@@ -188,6 +168,6 @@ func BenchmarkScheduleDispatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Schedule(time.Microsecond, a, 0)
-		s.Step()
+		s.Run()
 	}
 }

@@ -227,9 +227,9 @@ func (st *exchangeState) launch(now des.Time) {
 	dstLane := st.sched.LaneFor(addrKey(st.dst))
 	st.dstSched = st.sched.LaneScheduler(dstLane)
 	// An unregistered source (the usual case for probers, which Bind
-	// arbitrary client addresses) gets the network's configurable client
-	// profile rather than a silent zero profile.
-	srcProfile := cfg.clientProfile
+	// arbitrary client addresses) gets the zero profile: a perfect local
+	// link.
+	var srcProfile LinkProfile
 	if sh, ok := n.lookup(st.c.src); ok {
 		srcProfile = sh.profile
 	}
@@ -256,9 +256,9 @@ func (st *exchangeState) launch(now des.Time) {
 	st.wire = wire
 	cfg.mSent.Inc()
 
-	// Transient outage: the destination is down (operator SetDown or a
-	// scheduled window); the query vanishes and the client times out.
-	if h.down.Load() || (dstFP != nil && inOutage(dstFP.Outages, st.flowIdx)) {
+	// Transient outage: a scheduled window on the destination's link; the
+	// query vanishes and the client times out.
+	if dstFP != nil && inOutage(dstFP.Outages, st.flowIdx) {
 		cfg.mLost.Inc()
 		noteFault(st.ctx, cfg, FaultOutage, st.c.src, st.dst)
 		st.loseToTimeout()
@@ -325,8 +325,8 @@ func (st *exchangeState) deliver(now des.Time) {
 
 // Respond implements Responder: the handler's completion, firing on the
 // destination lane at the simulated instant the response is ready.
-// Handler time is the simulated span since delivery, so processing delay
-// and upstream work inflate the client's round trip.
+// Handler time is the simulated span since delivery, so upstream work
+// inflates the client's round trip.
 //
 //cdelint:hotpath
 func (st *exchangeState) Respond(now des.Time, resp *dnswire.Message, err error) {

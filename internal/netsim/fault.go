@@ -128,15 +128,6 @@ type FaultProfile struct {
 	Outages []OutageWindow
 }
 
-// effectiveLoss returns the stationary packet-loss probability the profile
-// imposes per packet (burst chain if enabled, Bernoulli otherwise).
-func effectiveLoss(p LinkProfile) float64 {
-	if p.Faults != nil && p.Faults.BurstLoss.enabled() {
-		return p.Faults.BurstLoss.MeanLoss()
-	}
-	return p.Loss
-}
-
 // ParseFaultProfile parses a CLI fault specification of comma-separated
 // key=value terms:
 //

@@ -37,45 +37,35 @@ func exchangeN(t *testing.T, conn *Conn, dst netip.Addr, k int) int {
 	return ok
 }
 
-// TestClientProfileFallback is the regression test for the unregistered-
-// source bug: Exchange used to leave srcProfile zero-valued whenever the
-// bound source had no registered host, silently disabling client-side loss
-// and delay. The fallback is now the network's configurable client
-// profile.
+// TestClientProfileFallback pins the profile of the client side of an
+// exchange: an unregistered source (probers Bind arbitrary addresses)
+// gets the zero profile, a perfect local link, while a registered
+// source's own profile applies.
 func TestClientProfileFallback(t *testing.T) {
 	n := New(7)
-	n.Register(testServer, LinkProfile{}, echoHandler())
+	n.Register(testServer, LinkProfile{OneWay: 3 * time.Millisecond}, echoHandler())
 	conn := n.Bind(testClient) // testClient is NOT registered
 
-	// Default client profile is still the zero profile: unchanged behaviour.
-	if _, _, err := conn.Exchange(context.Background(), dnswire.NewQuery(1, "a.example", dnswire.TypeA), testServer); err != nil {
-		t.Fatalf("default client profile should be lossless: %v", err)
+	_, rtt, err := conn.Exchange(context.Background(), dnswire.NewQuery(1, "a.example", dnswire.TypeA), testServer)
+	if err != nil {
+		t.Fatalf("unregistered source should be lossless: %v", err)
+	}
+	if rtt != 6*time.Millisecond {
+		t.Errorf("rtt = %v, want 6ms from the server's link alone", rtt)
 	}
 
-	// A lossy client profile must now reach unregistered sources.
-	n.SetClientProfile(LinkProfile{Loss: 1})
-	if _, _, err := conn.Exchange(context.Background(), dnswire.NewQuery(2, "b.example", dnswire.TypeA), testServer); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout (client-side loss must apply to unregistered sources)", err)
-	}
-
-	// Client-side delay applies too.
-	n.SetClientProfile(LinkProfile{OneWay: 7 * time.Millisecond})
-	_, rtt, err := conn.Exchange(context.Background(), dnswire.NewQuery(3, "c.example", dnswire.TypeA), testServer)
+	// A registered source's profile applies to its side of the exchange.
+	n.Register(testClient, LinkProfile{OneWay: 7 * time.Millisecond}, echoHandler())
+	_, rtt, err = conn.Exchange(context.Background(), dnswire.NewQuery(2, "b.example", dnswire.TypeA), testServer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rtt != 14*time.Millisecond {
-		t.Errorf("rtt = %v, want 14ms from the client profile's one-way delay", rtt)
+	if rtt != 20*time.Millisecond {
+		t.Errorf("rtt = %v, want 20ms from both links", rtt)
 	}
-
-	// A registered source still wins over the fallback.
-	n.Register(testClient, LinkProfile{}, echoHandler())
-	_, rtt, err = conn.Exchange(context.Background(), dnswire.NewQuery(4, "d.example", dnswire.TypeA), testServer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rtt != 0 {
-		t.Errorf("rtt = %v, want 0 (registered source profile overrides fallback)", rtt)
+	n.Register(testClient, LinkProfile{Loss: 1}, echoHandler())
+	if _, _, err := conn.Exchange(context.Background(), dnswire.NewQuery(3, "c.example", dnswire.TypeA), testServer); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout from the registered source's loss", err)
 	}
 }
 
@@ -245,21 +235,6 @@ func TestScheduledOutageWindow(t *testing.T) {
 	}
 }
 
-func TestSetDown(t *testing.T) {
-	n := New(3)
-	n.Register(testServer, LinkProfile{}, echoHandler())
-	conn := n.Bind(testClient)
-
-	n.SetDown(testServer, true)
-	if _, _, err := conn.Exchange(context.Background(), dnswire.NewQuery(1, "a.example", dnswire.TypeA), testServer); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout while down", err)
-	}
-	n.SetDown(testServer, false)
-	if _, _, err := conn.Exchange(context.Background(), dnswire.NewQuery(2, "a.example", dnswire.TypeA), testServer); err != nil {
-		t.Fatalf("err = %v after SetDown(false), want success", err)
-	}
-}
-
 func TestDuplicateDelivery(t *testing.T) {
 	handlerCalls := 0
 	n := New(4)
@@ -298,7 +273,7 @@ func TestLateResponseTimesOutButServes(t *testing.T) {
 	n.Register(testServer, LinkProfile{Faults: &FaultProfile{LateRate: 1}},
 		eventFunc(func(_ context.Context, sched *des.Scheduler, _ netip.Addr, q *dnswire.Message, r Responder) {
 			handlerCalls++
-			RespondAfter(sched, 30*time.Millisecond, r, dnswire.NewResponse(q), nil)
+			respondAfter(sched, 30*time.Millisecond, r, dnswire.NewResponse(q))
 		}))
 	conn := n.Bind(testClient)
 	_, total, err := conn.Exchange(context.Background(), dnswire.NewQuery(1, "a.example", dnswire.TypeA), testServer)

@@ -99,36 +99,20 @@ type LinkProfile struct {
 	Faults *FaultProfile
 }
 
-// DefaultLinkProfile matches the paper's "typical" network: ~1% loss and a
-// modest regional delay.
-func DefaultLinkProfile() LinkProfile {
-	return LinkProfile{OneWay: 10 * time.Millisecond, Jitter: 2 * time.Millisecond, Loss: 0.01}
-}
-
 type host struct {
 	handler EventHandler
 	profile LinkProfile
-	// down marks a transient outage toggled by SetDown; queries to a down
-	// host vanish (client times out). Atomic so the hot path reads it
-	// without holding any lock.
-	down atomic.Bool
 }
 
-// netConfig is the network's immutable configuration snapshot: timeout,
-// client-side profile and pre-created metric handles. Writers (SetMetrics,
-// SetTimeout, SetClientProfile) copy-mutate-store a fresh pointer under
-// Network.mu; the exchange hot path loads it once per exchange with a
-// single atomic read and never touches a mutex.
+// netConfig is the network's immutable configuration snapshot: timeout
+// and pre-created metric handles. Writers (SetMetrics, SetTimeout)
+// copy-mutate-store a fresh pointer under Network.mu; the exchange hot
+// path loads it once per exchange with a single atomic read and never
+// touches a mutex.
 type netConfig struct {
 	// timeout is the simulated time charged for a lost packet, mirroring
 	// a resolver's retransmission timer.
 	timeout time.Duration
-
-	// clientProfile is the link profile applied to source addresses with
-	// no registered host (probers Bind arbitrary client addresses). It
-	// defaults to the zero profile — a perfect local link — and is
-	// settable via SetClientProfile.
-	clientProfile LinkProfile
 
 	// metrics, when non-nil, is the accounting registry every packet and
 	// fault event is counted in — the network keeps no other counters.
@@ -158,7 +142,7 @@ type Network struct {
 	// hostsView caches an immutable snapshot of hosts for the exchange
 	// path: sync.Map.Load boxes the 24-byte netip.Addr key into an
 	// interface on every call, while a plain map read allocates nothing.
-	// Register/Unregister invalidate the view (store nil) under mu; the
+	// Register invalidates the view (stores nil) under mu; the
 	// next lookup rebuilds it, also under mu, so a rebuild can never
 	// overwrite a newer invalidation with a stale snapshot.
 	hostsView atomic.Pointer[map[netip.Addr]*host]
@@ -290,51 +274,12 @@ func (n *Network) SetTimeout(d time.Duration) {
 	n.cfg.Store(&cfg)
 }
 
-// SetClientProfile sets the link profile applied to *unregistered* source
-// addresses — the probers' client side of every exchange. Historically an
-// unregistered source silently got a zero profile (no loss, no delay, no
-// faults) even when callers intended otherwise; the fallback is now
-// explicit and configurable. The default remains the zero profile, so
-// existing simulations are unchanged.
-func (n *Network) SetClientProfile(p LinkProfile) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	cfg := *n.cfg.Load()
-	cfg.clientProfile = p
-	n.cfg.Store(&cfg)
-}
-
-// ClientProfile returns the profile applied to unregistered sources.
-func (n *Network) ClientProfile() LinkProfile {
-	return n.cfg.Load().clientProfile
-}
-
-// SetDown marks the host at addr as down (or back up): while down, queries
-// to it vanish and clients time out, modelling the paper's §II-B transient
-// platform outages without losing the host's registration or cache state
-// the way Unregister would.
-func (n *Network) SetDown(addr netip.Addr, down bool) {
-	if h, ok := n.lookup(addr); ok {
-		h.down.Store(down)
-	}
-}
-
 // Register attaches handler to addr with the given link profile. It
 // replaces any previous registration for addr.
 func (n *Network) Register(addr netip.Addr, profile LinkProfile, handler EventHandler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.hosts.Store(addr, &host{handler: handler, profile: profile})
-	n.hostsView.Store(nil)
-}
-
-// Unregister removes the host at addr, simulating a machine going down —
-// the paper's §II-B resilience use case (a platform with four caches of
-// which two are down).
-func (n *Network) Unregister(addr netip.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.hosts.Delete(addr)
 	n.hostsView.Store(nil)
 }
 
@@ -407,6 +352,8 @@ var _ Exchanger = (*Conn)(nil)
 
 // Bind returns an Exchanger that sends from src. The source needs no
 // registered handler; registration is only required to *receive* queries.
+// An unregistered source sends over the zero profile: a perfect local
+// link with no delay, loss or faults.
 func (n *Network) Bind(src netip.Addr) *Conn {
 	return &Conn{net: n, src: src}
 }
@@ -463,6 +410,8 @@ func noteFault(ctx context.Context, cfg *netConfig, kind FaultKind, src, dst net
 		ctr = cfg.mOutage
 	}
 	ctr.Inc()
-	//cdelint:allow hotalloc fault notes format and box only when a fault fired, off the steady-state path
-	trace.Addf(ctx, "fault", "%s: %v -> %v", string(kind), src, dst)
+	if t := trace.From(ctx); t != nil {
+		//cdelint:allow hotalloc a trace event formats and boxes only when a collector is attached
+		t.Add("fault", "%s: %v -> %v", string(kind), src, dst)
+	}
 }

@@ -152,10 +152,23 @@ func TestNestedExchangeInflatesRTT(t *testing.T) {
 	}
 }
 
+// delayedResponse is an actor that answers a query when it fires.
+type delayedResponse struct {
+	r    Responder
+	resp *dnswire.Message
+}
+
+func (d *delayedResponse) Fire(now des.Time, _ uint8) { d.r.Respond(now, d.resp, nil) }
+
+// respondAfter answers on sched after delay of simulated handler time.
+func respondAfter(sched *des.Scheduler, delay time.Duration, r Responder, resp *dnswire.Message) {
+	sched.Schedule(delay, &delayedResponse{r: r, resp: resp}, 0)
+}
+
 func TestRespondAfterInflatesRTT(t *testing.T) {
 	n := New(1)
 	slow := eventFunc(func(_ context.Context, sched *des.Scheduler, _ netip.Addr, q *dnswire.Message, r Responder) {
-		RespondAfter(sched, 15*time.Millisecond, r, dnswire.NewResponse(q), nil)
+		respondAfter(sched, 15*time.Millisecond, r, dnswire.NewResponse(q))
 	})
 	n.Register(testServer, LinkProfile{}, slow)
 	_, rtt, err := n.Bind(testClient).Exchange(context.Background(), dnswire.NewQuery(1, "a.example", dnswire.TypeA), testServer)
@@ -164,22 +177,6 @@ func TestRespondAfterInflatesRTT(t *testing.T) {
 	}
 	if rtt != 15*time.Millisecond {
 		t.Errorf("rtt = %v, want 15ms of charged processing", rtt)
-	}
-}
-
-func TestUnregister(t *testing.T) {
-	n := New(1)
-	n.Register(testServer, LinkProfile{}, echoHandler())
-	if !n.Registered(testServer) {
-		t.Fatal("host not registered")
-	}
-	n.Unregister(testServer)
-	if n.Registered(testServer) {
-		t.Fatal("host still registered")
-	}
-	_, _, err := n.Bind(testClient).Exchange(context.Background(), dnswire.NewQuery(1, "a.example", dnswire.TypeA), testServer)
-	if !errors.Is(err, ErrNoRoute) {
-		t.Errorf("err = %v, want ErrNoRoute after unregister", err)
 	}
 }
 

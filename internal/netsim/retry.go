@@ -255,10 +255,9 @@ func ExchangeRetry(ctx context.Context, ex Exchanger, query *dnswire.Message, ds
 
 // ExchangeRetryBackoff is ExchangeRetry with an explicit backoff schedule;
 // the zero Backoff retransmits immediately. Event-capable transports (the
-// simulated Conn, udpnet's TCPFallback over simulated legs) run the whole
-// schedule as an event chain — on the calling process's world, or on a
-// private pooled scheduler driven to completion; other Exchangers fall
-// back to the blocking loop.
+// simulated Conn) run the whole schedule as an event chain — on the
+// calling process's world, or on a private pooled scheduler driven to
+// completion; other Exchangers fall back to the blocking loop.
 //
 //cdelint:hotpath
 func ExchangeRetryBackoff(ctx context.Context, ex Exchanger, query *dnswire.Message, dst netip.Addr, attempts int, bo Backoff) (*dnswire.Message, time.Duration, error) {

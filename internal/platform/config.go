@@ -108,16 +108,11 @@ type Config struct {
 	Clock clock.Clock
 	// Seed makes egress selection and retry jitter deterministic.
 	Seed int64
-	// UpstreamRetries is how many times an upstream exchange is retried
-	// on timeout; zero defaults to 2 (3 attempts total).
-	UpstreamRetries int
 	// CacheHitDelay is simulated processing time for answering from
 	// cache; cache misses additionally pay real upstream round trips.
 	CacheHitDelay time.Duration
 	// MaxCNAMEChase bounds CNAME indirection; zero defaults to 8.
 	MaxCNAMEChase int
-	// MaxReferrals bounds delegation depth per lookup; zero defaults to 16.
-	MaxReferrals int
 	// QueryAAAA, when true, makes the platform also resolve the AAAA
 	// record after answering an A query (Windows-resolver behaviour,
 	// one of the query-pattern fingerprints of the §VI related work).
@@ -184,14 +179,8 @@ func (cfg *Config) validate() error {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	if cfg.UpstreamRetries == 0 {
-		cfg.UpstreamRetries = 2
-	}
 	if cfg.MaxCNAMEChase == 0 {
 		cfg.MaxCNAMEChase = 8
-	}
-	if cfg.MaxReferrals == 0 {
-		cfg.MaxReferrals = 16
 	}
 	return nil
 }

@@ -154,7 +154,9 @@ func (qe *queryEv) stageIngress() bool {
 	pos := p.cfg.Selector.Select(q, qe.src, len(cluster))
 	qe.cacheIdx = cluster[pos]
 	qe.cache = p.caches[qe.cacheIdx]
-	trace.Addf(qe.ctx, "lb", "%s selected cache %d of %d for %s", p.cfg.Selector.Name(), qe.cacheIdx, len(cluster), q)
+	if t := trace.From(qe.ctx); t != nil {
+		t.Add("lb", "%s selected cache %d of %d for %s", p.cfg.Selector.Name(), qe.cacheIdx, len(cluster), q)
+	}
 
 	qe.sched.Schedule(0, qe, opCacheLookup)
 	return false
@@ -167,7 +169,9 @@ func (qe *queryEv) stageCacheLookup() bool {
 	p := qe.p
 	if entry, ok := qe.cache.Get(qe.q, p.cfg.Clock.Now()); ok {
 		p.mCacheHits.Inc()
-		trace.Addf(qe.ctx, "cache-hit", "%s answered %s", qe.cache.ID, qe.q)
+		if t := trace.From(qe.ctx); t != nil {
+			t.Add("cache-hit", "%s answered %s", qe.cache.ID, qe.q)
+		}
 		qe.resp = p.entryToResponse(qe.resp, entry)
 		if p.cfg.CacheHitDelay > 0 {
 			qe.sched.Schedule(p.cfg.CacheHitDelay, qe, opRespond)
@@ -176,7 +180,9 @@ func (qe *queryEv) stageCacheLookup() bool {
 		return true
 	}
 	p.mCacheMisses.Inc()
-	trace.Addf(qe.ctx, "cache-miss", "%s lacks %s", qe.cache.ID, qe.q)
+	if t := trace.From(qe.ctx); t != nil {
+		t.Add("cache-miss", "%s lacks %s", qe.cache.ID, qe.q)
+	}
 	return qe.resolve(qe.q)
 }
 

@@ -9,6 +9,7 @@ import (
 	"dnscde/internal/loadbal"
 	"dnscde/internal/metrics"
 	"dnscde/internal/netsim"
+	"dnscde/internal/netsim/des"
 	"dnscde/internal/trace"
 	"dnscde/internal/zone"
 )
@@ -109,7 +110,6 @@ func TestForwarderUnreachableServFail(t *testing.T) {
 	forwarder := w.newPlatform(t, func(c *Config) {
 		c.Roots = nil
 		c.Forwarders = []netip.Addr{netip.MustParseAddr("203.0.113.99")} // nobody
-		c.UpstreamRetries = 1
 	})
 	conn := w.net.Bind(clientAddr)
 	resp, _, err := conn.Exchange(context.Background(),
@@ -300,5 +300,32 @@ func TestResolutionTrace(t *testing.T) {
 	wk := warm.Kinds()
 	if len(wk) != 2 || wk[0] != "lb" || wk[1] != "cache-hit" {
 		t.Errorf("warm trace = %v\n%s", wk, warm)
+	}
+}
+
+// discardResponder drops the response of a query served in a test.
+type discardResponder struct{}
+
+func (discardResponder) Respond(des.Time, *dnswire.Message, error) {}
+
+// TestUntracedCacheHitAllocations pins the cost of tracing when it is
+// off: a warm cache hit allocates only what serving it needs — the
+// response message, the cache key, the ingress cluster and the decayed
+// answer copy — and boxes none of the trace events' arguments.
+func TestUntracedCacheHitAllocations(t *testing.T) {
+	const hitAllocs = 7
+	w := buildWorld(t, 5)
+	p := w.newPlatform(t, nil)
+	query(t, w, p, "x-1.sub.cache.example.", dnswire.TypeA)
+	f := &front{p: p, ingress: p.Config().IngressIPs[0]}
+	sched := des.NewScheduler()
+	q := dnswire.NewQuery(1, "x-1.sub.cache.example.", dnswire.TypeA)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		f.ServeDNSEvent(ctx, sched, clientAddr, q, discardResponder{})
+		sched.Run()
+	})
+	if allocs > hitAllocs {
+		t.Errorf("untraced cache hit allocates %.0f times, want at most %d", allocs, hitAllocs)
 	}
 }

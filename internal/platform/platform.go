@@ -99,14 +99,6 @@ func (p *Platform) Caches() []*dnscache.Cache {
 // Config returns a copy of the platform's configuration.
 func (p *Platform) Config() Config { return p.cfg }
 
-// FlushCaches clears every cache (operator intervention between
-// experiment repetitions).
-func (p *Platform) FlushCaches() {
-	for _, c := range p.caches {
-		c.Flush()
-	}
-}
-
 // SetCacheDown marks cache idx as failed (or restores it): the load
 // balancer stops sampling it. This models the §II-B resilience scenario —
 // "a DNS platform uses four caches, but our tool measures two, namely two

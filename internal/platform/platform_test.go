@@ -369,7 +369,6 @@ func TestServFailWhenRootsUnreachable(t *testing.T) {
 	reg := metrics.New()
 	p := w.newPlatform(t, func(c *Config) {
 		c.Roots = []netip.Addr{netip.MustParseAddr("203.0.113.99")} // nobody there
-		c.UpstreamRetries = 1
 		c.Metrics = reg
 	})
 	conn := w.net.Bind(clientAddr)
@@ -432,17 +431,6 @@ func TestGroundTruth(t *testing.T) {
 	}
 }
 
-func TestFlushCaches(t *testing.T) {
-	w := buildWorld(t, 5)
-	p := w.newPlatform(t, nil)
-	query(t, w, p, "x-1.sub.cache.example.", dnswire.TypeA)
-	p.FlushCaches()
-	query(t, w, p, "x-1.sub.cache.example.", dnswire.TypeA)
-	if got := w.child.Log().CountName("x-1.sub.cache.example."); got != 2 {
-		t.Errorf("child saw %d queries, want 2 after flush", got)
-	}
-}
-
 func TestFormErrOnEmptyQuery(t *testing.T) {
 	w := buildWorld(t, 5)
 	p := w.newPlatform(t, nil)
@@ -462,7 +450,7 @@ func TestResolutionSurvivesPacketLoss(t *testing.T) {
 		func(context.Context, netip.Addr, *dnswire.Message) (*dnswire.Message, error) {
 			return nil, fmt.Errorf("client is not a server")
 		}))
-	p := w.newPlatform(t, func(c *Config) { c.UpstreamRetries = 4 })
+	p := w.newPlatform(t, nil)
 	conn := w.net.Bind(clientAddr)
 	okCount := 0
 	for i := 1; i <= 5; i++ {

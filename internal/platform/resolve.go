@@ -27,8 +27,14 @@ var _queryID atomic.Uint32
 
 func nextID() uint16 { return uint16(_queryID.Add(1)) }
 
-// maxGluelessDepth bounds nested resolutions for NS hosts without glue.
-const maxGluelessDepth = 3
+// Resolution bounds: nested resolutions for NS hosts without glue,
+// delegation depth per lookup, and attempts per upstream exchange (two
+// retries on timeout).
+const (
+	maxGluelessDepth = 3
+	maxReferrals     = 16
+	upstreamAttempts = 3
+)
 
 // resolution is the continuation state of one cache miss: the egress
 // resolver's recursive resolution of a question on behalf of the sampled
@@ -109,7 +115,7 @@ func (qe *queryEv) resolve(q dnswire.Question) bool {
 func (qe *queryEv) ask(egress netip.Addr, query *dnswire.Message, server netip.Addr) {
 	conn := qe.p.net.Bind(egress)
 	qe.upLane = qe.sched.LaneFor(conn.LaneKey())
-	netsim.ExchangeRetryEvent(qe.ctx, qe.sched, conn, query, server, qe.p.cfg.UpstreamRetries+1, netsim.DefaultBackoff(), qe.onUpstreamFn)
+	netsim.ExchangeRetryEvent(qe.ctx, qe.sched, conn, query, server, upstreamAttempts, netsim.DefaultBackoff(), qe.onUpstreamFn)
 }
 
 // onUpstream receives an upstream outcome on the egress source's lane and
@@ -143,7 +149,9 @@ func (qe *queryEv) forwardNext() bool {
 	egress := p.pickEgress(qe.cacheIdx)
 	query := dnswire.NewQuery(nextID(), qe.target.Name, qe.target.Type) // RD set
 	p.maybeAddEDNS(query)
-	trace.Addf(qe.ctx, "forward", "egress %v forwards %s to %v", egress, qe.target, upstream)
+	if t := trace.From(qe.ctx); t != nil {
+		t.Add("forward", "egress %v forwards %s to %v", egress, qe.target, upstream)
+	}
 	qe.ask(egress, query, upstream)
 	return false
 }
@@ -208,7 +216,7 @@ func (qe *queryEv) chaseHop(f *frame) bool {
 
 // descend takes one referral step: ask the current servers in order.
 func (qe *queryEv) descend(f *frame) bool {
-	if f.ref >= qe.p.cfg.MaxReferrals {
+	if f.ref >= maxReferrals {
 		return qe.iterated(f, iterOut{}, ErrReferralLimit)
 	}
 	if len(f.servers) == 0 {
@@ -230,7 +238,9 @@ func (qe *queryEv) askNext(f *frame) bool {
 	query := dnswire.NewQuery(nextID(), f.cur.Name, f.cur.Type)
 	query.Header.RecursionDesired = false
 	p.maybeAddEDNS(query)
-	trace.Addf(qe.ctx, "upstream", "egress %v asks %v for %s", egress, server, f.cur)
+	if t := trace.From(qe.ctx); t != nil {
+		t.Add("upstream", "egress %v asks %v for %s", egress, server, f.cur)
+	}
 	qe.ask(egress, query, server)
 	return false
 }
@@ -281,7 +291,9 @@ func (qe *queryEv) iterated(f *frame, out iterOut, err error) bool {
 	}
 	now := qe.p.cfg.Clock.Now()
 	if out.cname != "" {
-		trace.Addf(qe.ctx, "cname", "%s is an alias for %s", f.name, out.cname)
+		if t := trace.From(qe.ctx); t != nil {
+			t.Add("cname", "%s is an alias for %s", f.name, out.cname)
+		}
 		f.chain = append(f.chain, out.chainRRs...)
 		// Cache the alias under its own name and type so later
 		// resolutions of the same alias skip the upstream query.
@@ -375,7 +387,9 @@ func (qe *queryEv) followReferral(f *frame, resp *dnswire.Message) bool {
 
 	nsSet := filterType(resp.Authority, dnswire.TypeNS)
 	cut := dnswire.CanonicalName(nsSet[0].Name)
-	trace.Addf(qe.ctx, "referral", "delegation to %s (%d NS, %d glue)", cut, len(nsSet), len(resp.Additional))
+	if t := trace.From(qe.ctx); t != nil {
+		t.Add("referral", "delegation to %s (%d NS, %d glue)", cut, len(nsSet), len(resp.Additional))
+	}
 	cache.Put(dnswire.Question{Name: cut, Type: dnswire.TypeNS, Class: dnswire.ClassIN},
 		dnscache.Entry{Records: nsSet}, now)
 

@@ -17,23 +17,6 @@ const (
 	saltWorkload = 0x77 // per-workload seeds
 )
 
-// newSelector instantiates a load-balancing policy by grammar name. The
-// names mirror cdescan's -selector flag.
-func newSelector(name string, seed int64) (loadbal.Selector, error) {
-	switch name {
-	case "random":
-		return loadbal.NewRandom(seed), nil
-	case "round-robin":
-		return loadbal.NewRoundRobin(), nil
-	case "hash-qname":
-		return loadbal.HashQName{}, nil
-	case "hash-source-ip":
-		return loadbal.HashSourceIP{}, nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown selector %q", name)
-	}
-}
-
 // egressPolicy maps a grammar name to the platform policy.
 func egressPolicy(name string) (platform.EgressPolicy, error) {
 	switch name {
@@ -52,7 +35,7 @@ func egressPolicy(name string) (platform.EgressPolicy, error) {
 // earlier maps already-built platforms (forward targets are validated to
 // be earlier-declared, so lookup cannot miss).
 func compilePlatform(w *simtest.World, pd *PlatformDef, seed int64, earlier map[string]*platform.Platform) (*platform.Platform, error) {
-	sel, err := newSelector(pd.Selector, seed)
+	sel, err := loadbal.New(pd.Selector, seed)
 	if err != nil {
 		return nil, err
 	}

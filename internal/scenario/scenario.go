@@ -17,9 +17,11 @@ package scenario
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 	"time"
 
+	"dnscde/internal/loadbal"
 	"dnscde/internal/netsim"
 )
 
@@ -60,10 +62,6 @@ const (
 	KindSMTP      Kind = "smtp"      // §III-B: indirect channel through a mail server
 	KindAdnet     Kind = "adnet"     // §III-C: indirect channel through web clients
 )
-
-var selectorNames = map[string]bool{
-	"random": true, "round-robin": true, "hash-qname": true, "hash-source-ip": true,
-}
 
 var egressPolicyNames = map[string]bool{
 	"random": true, "round-robin": true, "per-cache": true,
@@ -283,7 +281,7 @@ func (p *PlatformDef) validate(earlier map[string]bool) error {
 	if p.Selector == "" {
 		p.Selector = "random"
 	}
-	if !selectorNames[p.Selector] {
+	if !slices.Contains(loadbal.Names(), p.Selector) {
 		return fmt.Errorf("scenario: platform %s: unknown selector %q", p.Name, p.Selector)
 	}
 	if p.EgressPolicy == "" {

@@ -28,6 +28,13 @@ var (
 	DefaultClient     = netip.MustParseAddr("198.18.0.1")
 )
 
+// One-way link delays of the world's nameservers: the prober's
+// authoritative servers and the root and TLD servers.
+const (
+	nsOneWay   = 10 * time.Millisecond
+	treeOneWay = 5 * time.Millisecond
+)
+
 // World is a wired simulated Internet with CDE infrastructure.
 type World struct {
 	Net   *netsim.Network
@@ -61,12 +68,6 @@ type World struct {
 type Options struct {
 	// Seed for the network RNG; 0 uses 1.
 	Seed int64
-	// NSProfile is the link profile of the authoritative servers;
-	// zero value uses 10ms one-way, no jitter, no loss.
-	NSProfile netsim.LinkProfile
-	// TreeProfile is the link profile of root and TLD servers; zero
-	// value uses 5ms one-way.
-	TreeProfile netsim.LinkProfile
 	// Metrics, when non-nil, is attached to the network, the CDE
 	// infrastructure and every platform the world creates.
 	Metrics *metrics.Registry
@@ -88,12 +89,6 @@ func New(opts Options) (*World, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.NSProfile == (netsim.LinkProfile{}) {
-		opts.NSProfile = netsim.LinkProfile{OneWay: 10 * time.Millisecond}
-	}
-	if opts.TreeProfile == (netsim.LinkProfile{}) {
-		opts.TreeProfile = netsim.LinkProfile{OneWay: 5 * time.Millisecond}
-	}
 	w := &World{
 		Net:            netsim.New(opts.Seed),
 		Clock:          clock.NewVirtual(),
@@ -108,7 +103,7 @@ func New(opts Options) (*World, error) {
 	if opts.Metrics != nil {
 		w.Net.SetMetrics(opts.Metrics)
 	}
-	tree, err := dnstree.Build(w.Net, w.Clock, opts.TreeProfile)
+	tree, err := dnstree.Build(w.Net, w.Clock, netsim.LinkProfile{OneWay: treeOneWay})
 	if err != nil {
 		return nil, fmt.Errorf("simtest: %w", err)
 	}
@@ -117,7 +112,7 @@ func New(opts Options) (*World, error) {
 		ParentAddr: DefaultParentAddr,
 		ChildAddr:  DefaultChildAddr,
 		Target:     DefaultTarget,
-		Profile:    opts.NSProfile,
+		Profile:    netsim.LinkProfile{OneWay: nsOneWay},
 		Metrics:    opts.Metrics,
 	})
 	if err != nil {

@@ -42,16 +42,6 @@ type Config struct {
 	ClientAddr netip.Addr
 	// PlatformIP is the ingress IP of the recursive platform to use.
 	PlatformIP netip.Addr
-	// BrowserCache and OSCache enable the two local cache layers. Both
-	// default to enabled with typical policies when nil Policy pointers
-	// are kept; set Disable* to turn a layer off.
-	DisableBrowserCache bool
-	DisableOSCache      bool
-	// BrowserCachePolicy defaults to a small cache with a browser-style
-	// 60s cap on positive TTLs.
-	BrowserCachePolicy *dnscache.Policy
-	// OSCachePolicy defaults to an unbounded cache honouring TTLs.
-	OSCachePolicy *dnscache.Policy
 	// Clock drives cache TTLs; nil defaults to the wall clock.
 	Clock clock.Clock
 	// Retries per upstream exchange on timeout; zero defaults to 2.
@@ -68,27 +58,19 @@ func New(cfg Config, n *netsim.Network) *Resolver {
 	if retries == 0 {
 		retries = 2
 	}
-	r := &Resolver{
+	return &Resolver{
+		localCaches: []*dnscache.Cache{
+			// A small browser cache with a browser-style 60s cap on
+			// positive TTLs.
+			dnscache.New("browser", dnscache.Policy{MaxTTL: 60 * time.Second, Capacity: 256}),
+			// The OS stub cache honours TTLs.
+			dnscache.New("os", dnscache.Policy{Capacity: 4096}),
+		},
 		conn:       n.Bind(cfg.ClientAddr),
 		platformIP: cfg.PlatformIP,
 		clk:        clk,
 		retries:    retries,
 	}
-	if !cfg.DisableBrowserCache {
-		policy := dnscache.Policy{MaxTTL: 60 * time.Second, Capacity: 256}
-		if cfg.BrowserCachePolicy != nil {
-			policy = *cfg.BrowserCachePolicy
-		}
-		r.localCaches = append(r.localCaches, dnscache.New("browser", policy))
-	}
-	if !cfg.DisableOSCache {
-		policy := dnscache.Policy{Capacity: 4096}
-		if cfg.OSCachePolicy != nil {
-			policy = *cfg.OSCachePolicy
-		}
-		r.localCaches = append(r.localCaches, dnscache.New("os", policy))
-	}
-	return r
 }
 
 // Result describes one stub lookup.
@@ -135,13 +117,6 @@ func (r *Resolver) LocalCaches() []*dnscache.Cache {
 	out := make([]*dnscache.Cache, len(r.localCaches))
 	copy(out, r.localCaches)
 	return out
-}
-
-// FlushLocal clears every local cache layer (e.g. a browser restart).
-func (r *Resolver) FlushLocal() {
-	for _, c := range r.localCaches {
-		c.Flush()
-	}
 }
 
 // _stubID generates message IDs for stub queries.

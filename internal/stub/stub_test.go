@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dnscde/internal/clock"
-	"dnscde/internal/dnscache"
 	"dnscde/internal/dnstree"
 	"dnscde/internal/dnswire"
 	"dnscde/internal/metrics"
@@ -195,66 +194,6 @@ func TestLocalCachesStoreOnlyFinalAnswer(t *testing.T) {
 		if c.Contains(q, clk.Now()) {
 			t.Errorf("cache %s holds the chain target", c.ID)
 		}
-	}
-}
-
-func TestDisableLayers(t *testing.T) {
-	n, clk, plat, _ := setup(t, 1)
-	r := New(Config{
-		ClientAddr:          clientAddr,
-		PlatformIP:          ingressAddr,
-		Clock:               clk,
-		DisableBrowserCache: true,
-		DisableOSCache:      true,
-	}, n)
-	if got := len(r.LocalCaches()); got != 0 {
-		t.Fatalf("layers = %d", got)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := r.Lookup(context.Background(), "x-1.sub.cache.example.", dnswire.TypeA); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := queries(plat); got != 3 {
-		t.Errorf("platform saw %d queries, want 3 with no local caches", got)
-	}
-}
-
-func TestFlushLocal(t *testing.T) {
-	n, clk, plat, _ := setup(t, 1)
-	r := newStub(n, clk)
-	if _, err := r.Lookup(context.Background(), "x-1.sub.cache.example.", dnswire.TypeA); err != nil {
-		t.Fatal(err)
-	}
-	r.FlushLocal()
-	if _, err := r.Lookup(context.Background(), "x-1.sub.cache.example.", dnswire.TypeA); err != nil {
-		t.Fatal(err)
-	}
-	if got := queries(plat); got != 2 {
-		t.Errorf("platform saw %d queries, want 2 after local flush", got)
-	}
-}
-
-func TestCustomPolicies(t *testing.T) {
-	n, clk, _, _ := setup(t, 1)
-	browser := &dnscache.Policy{MaxTTL: 5 * time.Second, Capacity: 2}
-	r := New(Config{
-		ClientAddr:         clientAddr,
-		PlatformIP:         ingressAddr,
-		Clock:              clk,
-		BrowserCachePolicy: browser,
-		DisableOSCache:     true,
-	}, n)
-	if _, err := r.Lookup(context.Background(), "x-1.sub.cache.example.", dnswire.TypeA); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(6 * time.Second)
-	res, err := r.Lookup(context.Background(), "x-1.sub.cache.example.", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FromLocalCache {
-		t.Error("entry should have expired per custom 5s cap")
 	}
 }
 

@@ -5,7 +5,9 @@
 // resolution story afterwards. The simulated network forwards the
 // context into handlers, so traces cross simulated host boundaries.
 //
-// Tracing is opt-in and zero-cost when no collector is attached.
+// Tracing is opt-in and zero-cost when no collector is attached: call
+// sites guard on From, so event arguments are boxed only when a trace
+// will record them.
 package trace
 
 import (
@@ -78,16 +80,12 @@ func With(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, ctxKey{}, t)
 }
 
-// FromContext returns the attached trace, if any.
-func FromContext(ctx context.Context) (*Trace, bool) {
-	t, ok := ctx.Value(ctxKey{}).(*Trace)
-	return t, ok
-}
-
-// Addf appends an event to the context's trace; it is a no-op when no
-// trace is attached — the hot-path cost is one context lookup.
-func Addf(ctx context.Context, kind, format string, args ...any) {
-	if t, ok := FromContext(ctx); ok {
-		t.Add(kind, format, args...)
-	}
+// From returns the trace attached to ctx, or nil. Guard each event with
+//
+//	if t := trace.From(ctx); t != nil { t.Add(...) }
+//
+// so an untraced query never boxes the event's arguments.
+func From(ctx context.Context) *Trace {
+	t, _ := ctx.Value(ctxKey{}).(*Trace)
+	return t
 }

@@ -8,7 +8,6 @@ import (
 
 	"dnscde/internal/dnswire"
 	"dnscde/internal/netsim"
-	"dnscde/internal/netsim/des"
 )
 
 // TCPFallback composes two Exchangers into RFC 1035 §4.2 client
@@ -26,10 +25,7 @@ type TCPFallback struct {
 	TCP netsim.Exchanger
 }
 
-var (
-	_ netsim.Exchanger      = (*TCPFallback)(nil)
-	_ netsim.EventExchanger = (*TCPFallback)(nil)
-)
+var _ netsim.Exchanger = (*TCPFallback)(nil)
 
 // ExchangerFunc adapts a bare function to netsim.Exchanger, so transport
 // legs that are naturally methods (Transport.exchangeUDP) or closures can
@@ -58,43 +54,4 @@ func (f *TCPFallback) Exchange(ctx context.Context, query *dnswire.Message, dst 
 		return nil, total, fmt.Errorf("udpnet: tcp fallback: %w", err)
 	}
 	return full, total, nil
-}
-
-// ExchangeEvent implements netsim.EventExchanger: the UDP leg runs as an
-// event chain on the caller's scheduler, and a truncated response chains
-// straight into the TCP leg at its simulated arrival time — so the
-// fallback decision costs no blocking and composes with millions of
-// concurrent clients on one event loop. A leg that is not event-capable
-// (a real socket transport) is driven synchronously at its firing instant,
-// preserving the blocking semantics it was written for.
-func (f *TCPFallback) ExchangeEvent(ctx context.Context, sched *des.Scheduler, query *dnswire.Message, dst netip.Addr, done func(*dnswire.Message, time.Duration, error)) {
-	exchangeLegEvent(ctx, sched, f.UDP, query, dst, func(resp *dnswire.Message, rtt time.Duration, err error) {
-		if err != nil {
-			done(nil, rtt, err)
-			return
-		}
-		if !resp.Header.Truncated || f.TCP == nil {
-			done(resp, rtt, nil)
-			return
-		}
-		exchangeLegEvent(ctx, sched, f.TCP, query, dst, func(full *dnswire.Message, tcpRTT time.Duration, err error) {
-			total := rtt + tcpRTT
-			if err != nil {
-				done(nil, total, fmt.Errorf("udpnet: tcp fallback: %w", err))
-				return
-			}
-			done(full, total, nil)
-		})
-	})
-}
-
-// exchangeLegEvent runs one leg on the scheduler: natively when the leg
-// implements netsim.EventExchanger, otherwise by blocking inside the
-// current event dispatch.
-func exchangeLegEvent(ctx context.Context, sched *des.Scheduler, leg netsim.Exchanger, query *dnswire.Message, dst netip.Addr, done func(*dnswire.Message, time.Duration, error)) {
-	if ev, ok := leg.(netsim.EventExchanger); ok {
-		ev.ExchangeEvent(ctx, sched, query, dst, done)
-		return
-	}
-	done(leg.Exchange(ctx, query, dst))
 }

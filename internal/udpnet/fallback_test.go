@@ -10,7 +10,6 @@ import (
 	"dnscde/internal/dnswire"
 	"dnscde/internal/metrics"
 	"dnscde/internal/netsim"
-	"dnscde/internal/netsim/des"
 )
 
 var (
@@ -139,62 +138,5 @@ func TestTCPFallbackUDPErrorPropagates(t *testing.T) {
 	_, _, err := f.Exchange(context.Background(), dnswire.NewQuery(3, "lost.cde.example", dnswire.TypeA), fbServer)
 	if !errors.Is(err, netsim.ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout from the UDP leg", err)
-	}
-}
-
-// TestTCPFallbackExchangeEvent runs the same truncation fallback as an
-// event chain on a caller-owned scheduler and expects a result identical
-// to the blocking wrapper: the TC stub triggers the TCP leg, the combined
-// duration spans both legs, and the callback fires during the caller's
-// scheduler drain.
-func TestTCPFallbackExchangeEvent(t *testing.T) {
-	answer := netip.MustParseAddr("203.0.113.58")
-	build := func() (*netsim.Network, *TCPFallback) {
-		n := netsim.New(2017)
-		n.Register(fbServer, netsim.LinkProfile{
-			OneWay: 3 * time.Millisecond,
-			Faults: &netsim.FaultProfile{TruncateRate: 1},
-		}, answeringHandler(answer))
-		conn := n.Bind(fbClient)
-		return n, &TCPFallback{UDP: conn, TCP: conn.TCP()}
-	}
-
-	_, fBlocking := build()
-	query := dnswire.NewQuery(43, "event.cde.example", dnswire.TypeA)
-	wantResp, wantRTT, wantErr := fBlocking.Exchange(context.Background(), query, fbServer)
-	if wantErr != nil {
-		t.Fatal(wantErr)
-	}
-
-	_, fEvent := build()
-	sched := des.NewScheduler()
-	var gotResp *dnswire.Message
-	var gotRTT time.Duration
-	var gotErr error
-	fired := false
-	fEvent.ExchangeEvent(context.Background(), sched, dnswire.NewQuery(43, "event.cde.example", dnswire.TypeA), fbServer,
-		func(resp *dnswire.Message, rtt time.Duration, err error) {
-			gotResp, gotRTT, gotErr = resp, rtt, err
-			fired = true
-		})
-	if fired {
-		t.Fatal("done fired before the scheduler ran")
-	}
-	sched.Run()
-	if !fired {
-		t.Fatal("done never fired")
-	}
-	if gotErr != nil {
-		t.Fatal(gotErr)
-	}
-	if gotRTT != wantRTT {
-		t.Errorf("event rtt = %v, blocking rtt = %v; want identical", gotRTT, wantRTT)
-	}
-	if len(gotResp.Answer) != len(wantResp.Answer) || gotResp.Header.Truncated {
-		t.Errorf("event response differs: TC=%v answers=%d, want answers=%d",
-			gotResp.Header.Truncated, len(gotResp.Answer), len(wantResp.Answer))
-	}
-	if a, ok := gotResp.Answer[0].Data.(dnswire.ARecord); !ok || a.Addr != answer {
-		t.Errorf("event answer = %+v, want A %v", gotResp.Answer[0].Data, answer)
 	}
 }

@@ -87,26 +87,6 @@ func (z *Zone) MustAdd(rr dnswire.RR) {
 	}
 }
 
-// Remove deletes all records of type t at name. It reports whether any
-// records were removed.
-func (z *Zone) Remove(name string, t dnswire.Type) bool {
-	name = dnswire.CanonicalName(name)
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	sets, ok := z.names[name]
-	if !ok {
-		return false
-	}
-	if _, ok := sets[t]; !ok {
-		return false
-	}
-	delete(sets, t)
-	if len(sets) == 0 {
-		delete(z.names, name)
-	}
-	return true
-}
-
 // SOA returns the zone's SOA record.
 func (z *Zone) SOA() (dnswire.RR, error) {
 	z.mu.RLock()

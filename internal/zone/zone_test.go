@@ -183,19 +183,6 @@ func TestAddRejectsCNAMEConflict(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	z := testZone(t)
-	if !z.Remove("name.cache.example.", dnswire.TypeA) {
-		t.Fatal("Remove returned false")
-	}
-	if res := z.Lookup("name.cache.example.", dnswire.TypeA); res.Kind != NXDomain {
-		t.Errorf("after remove: kind = %v, want NXDOMAIN", res.Kind)
-	}
-	if z.Remove("name.cache.example.", dnswire.TypeA) {
-		t.Error("second Remove returned true")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	z := testZone(t)
 	if err := z.Validate(); err != nil {
