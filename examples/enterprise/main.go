@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"dnscde/internal/core"
-	"dnscde/internal/dnswire"
 	"dnscde/internal/loadbal"
 	"dnscde/internal/platform"
 	"dnscde/internal/simtest"
@@ -50,10 +49,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("queries triggered by one probe email:")
-	for _, e := range w.Infra.Parent.Log().Entries() {
-		if dnswire.IsSubdomain(e.Q.Name, probeDomain.Honey) {
-			fmt.Printf("  %-40s %v from egress %v\n", e.Q.Name, e.Q.Type, e.Src)
-		}
+	entries, _ := w.Infra.Parent.Log().EntriesSince(probeDomain.Honey, 0)
+	for _, e := range entries {
+		fmt.Printf("  %-40s %v from egress %v\n", e.Q.Name, e.Q.Type, e.Src)
 	}
 
 	// Step 2: full cache enumeration through the email channel.

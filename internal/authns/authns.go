@@ -13,9 +13,9 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dnscde/internal/clock"
@@ -38,107 +38,108 @@ type LogEntry struct {
 	UDPSize uint16
 }
 
-// logShards is the shard count of a QueryLog. Every probe of a parallel
-// measurement burst logs its arrival here, so the write path is sharded:
-// an append takes one of 16 locks instead of serializing the whole pool
-// on a single mutex.
-const logShards = 16
-
-// logShard is one stripe of the log. Entries carry a global sequence
-// number so reads can merge the stripes back into arrival order.
-type logShard struct {
-	mu      sync.Mutex
-	entries []seqEntry
-}
-
-type seqEntry struct {
-	seq uint64
-	e   LogEntry
-}
-
 // QueryLog is a thread-safe append-only log of observed queries.
 // The zero value is ready to use.
 //
-// Writes are striped across logShards locks; a global atomic sequence
-// number assigned at append time preserves arrival order, which Entries
-// restores by merging the shards. Counting queries iterate the shards
-// directly — order never matters for a count.
+// One mutex guards one arrival-ordered slice of entries and an index
+// built by Append: every canonical ancestor of an entry's query name (the
+// name itself, then each suffix after a label boundary, kept as
+// substrings of the name) maps to the positions of the entries under it.
+// Readouts scoped to a suffix walk only that suffix's positions, in
+// arrival order, so a session's readout costs its own arrivals rather
+// than the whole shared log; "" and "." walk every entry. Names compare
+// canonically, with dnswire.IsSubdomain's label-boundary rule.
+//
+// A simulated server runs on one scheduler lane, so its appends never
+// contend; the mutex keeps real-socket serving and concurrent readers
+// safe. Order within a session follows its own sequential probes.
 type QueryLog struct {
-	seq    atomic.Uint64
-	shards [logShards]logShard
+	mu      sync.Mutex
+	entries []LogEntry
+	under   map[string][]int32
 }
 
 // Append adds an entry.
 func (l *QueryLog) Append(e LogEntry) {
-	s := l.seq.Add(1) - 1
-	sh := &l.shards[s%logShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.entries = append(sh.entries, seqEntry{seq: s, e: e})
+	name := dnswire.CanonicalName(e.Q.Name)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.under == nil {
+		l.under = make(map[string][]int32)
+	}
+	pos := int32(len(l.entries))
+	l.entries = append(l.entries, e)
+	for key := name; key != ""; _, key, _ = strings.Cut(key, ".") {
+		l.under[key] = append(l.under[key], pos)
+	}
 }
 
 // Len returns the number of logged queries.
 func (l *QueryLog) Len() int {
-	n := 0
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.entries)
 }
 
 // Entries returns a copy of the log in arrival order.
 func (l *QueryLog) Entries() []LogEntry {
-	var merged []seqEntry
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		merged = append(merged, sh.entries...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(merged, func(a, b int) bool { return merged[a].seq < merged[b].seq })
-	out := make([]LogEntry, len(merged))
-	for i, se := range merged {
-		out[i] = se.e
-	}
-	return out
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.entries)
+}
+
+// EntriesSince returns copies of the entries under suffix ("" or "." for
+// all), in arrival order, skipping the first cursor of them, and the
+// cursor for the next read. A session that reads its zone this way pays
+// only for the arrivals since its last read.
+func (l *QueryLog) EntriesSince(suffix string, cursor int) ([]LogEntry, int) {
+	var out []LogEntry
+	next := l.walk(suffix, cursor, func(e *LogEntry) { out = append(out, *e) })
+	return out, next
 }
 
 // Reset clears the log between experiments.
 func (l *QueryLog) Reset() {
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		sh.entries = nil
-		sh.mu.Unlock()
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.entries, l.under = nil, nil
 }
 
-// forEach visits every logged entry shard by shard — unordered, which is
-// fine for the counting methods built on it.
-func (l *QueryLog) forEach(fn func(e *LogEntry)) {
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		for j := range sh.entries {
-			fn(&sh.entries[j].e)
+// walk visits, in arrival order, the entries under suffix ("" or "." for
+// all) after the first from of them, and returns how many there are.
+func (l *QueryLog) walk(suffix string, from int, fn func(e *LogEntry)) int {
+	suffix = dnswire.CanonicalName(suffix)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if suffix == "." {
+		for i := min(from, len(l.entries)); i < len(l.entries); i++ {
+			fn(&l.entries[i])
 		}
-		sh.mu.Unlock()
+		return len(l.entries)
 	}
+	positions := l.under[suffix]
+	for _, p := range positions[min(from, len(positions)):] {
+		fn(&l.entries[p])
+	}
+	return len(positions)
+}
+
+// forName visits the entries that asked for exactly name, in arrival
+// order.
+func (l *QueryLog) forName(name string, fn func(e *LogEntry)) {
+	name = dnswire.CanonicalName(name)
+	l.walk(name, 0, func(e *LogEntry) {
+		if dnswire.CanonicalName(e.Q.Name) == name {
+			fn(e)
+		}
+	})
 }
 
 // CountName returns how many logged queries asked for name (any type).
 // This is the ω of §IV-B1a.
 func (l *QueryLog) CountName(name string) int {
-	name = dnswire.CanonicalName(name)
 	n := 0
-	l.forEach(func(e *LogEntry) {
-		if e.Q.Name == name {
-			n++
-		}
-	})
+	l.forName(name, func(*LogEntry) { n++ })
 	return n
 }
 
@@ -147,10 +148,9 @@ func (l *QueryLog) CountName(name string) int {
 // SMTP server checking TXT, SPF and MX for a sender domain) are counted
 // per type with this method so ω is not inflated.
 func (l *QueryLog) CountNameType(name string, t dnswire.Type) int {
-	name = dnswire.CanonicalName(name)
 	n := 0
-	l.forEach(func(e *LogEntry) {
-		if e.Q.Name == name && e.Q.Type == t {
+	l.forName(name, func(e *LogEntry) {
+		if e.Q.Type == t {
 			n++
 		}
 	})
@@ -162,17 +162,11 @@ func (l *QueryLog) CountNameType(name string, t dnswire.Type) int {
 // from one probe email), each type group independently counts the caches
 // it touched; the maximum is the best single-group estimate.
 func (l *QueryLog) CountNameMaxType(name string) int {
-	name = dnswire.CanonicalName(name)
 	perType := make(map[dnswire.Type]int)
 	best := 0
-	l.forEach(func(e *LogEntry) {
-		if e.Q.Name != name {
-			return
-		}
+	l.forName(name, func(e *LogEntry) {
 		perType[e.Q.Type]++
-		if perType[e.Q.Type] > best {
-			best = perType[e.Q.Type]
-		}
+		best = max(best, perType[e.Q.Type])
 	})
 	return best
 }
@@ -180,32 +174,21 @@ func (l *QueryLog) CountNameMaxType(name string) int {
 // CountSuffix returns how many logged queries asked for names under
 // suffix (inclusive).
 func (l *QueryLog) CountSuffix(suffix string) int {
-	n := 0
-	l.forEach(func(e *LogEntry) {
-		if dnswire.IsSubdomain(e.Q.Name, suffix) {
-			n++
-		}
-	})
-	return n
+	return l.walk(suffix, 0, func(*LogEntry) {})
 }
 
-// DistinctSources returns the set of source addresses seen, optionally
-// restricted to queries under suffix (pass "" or "." for all). These are
-// the platform's egress IPs.
+// DistinctSources returns the set of source addresses seen, in first-seen
+// order, optionally restricted to queries under suffix (pass "" or "."
+// for all). These are the platform's egress IPs.
 func (l *QueryLog) DistinctSources(suffix string) []netip.Addr {
 	seen := make(map[netip.Addr]struct{})
 	var out []netip.Addr
-	// First-seen order is part of the contract, so walk the merged
-	// arrival-ordered view rather than the raw shards.
-	for _, e := range l.Entries() {
-		if suffix != "" && !dnswire.IsSubdomain(e.Q.Name, suffix) {
-			continue
-		}
+	l.walk(suffix, 0, func(e *LogEntry) {
 		if _, dup := seen[e.Src]; !dup {
 			seen[e.Src] = struct{}{}
 			out = append(out, e.Src)
 		}
-	}
+	})
 	return out
 }
 
@@ -213,12 +196,8 @@ func (l *QueryLog) DistinctSources(suffix string) []netip.Addr {
 // suffix) that carried an EDNS0 OPT record — the §II-C adoption
 // measurement.
 func (l *QueryLog) EDNSShare(suffix string) float64 {
-	total, edns := 0, 0
-	l.forEach(func(e *LogEntry) {
-		if suffix != "" && !dnswire.IsSubdomain(e.Q.Name, suffix) {
-			return
-		}
-		total++
+	edns := 0
+	total := l.walk(suffix, 0, func(e *LogEntry) {
 		if e.EDNS {
 			edns++
 		}
@@ -233,12 +212,7 @@ func (l *QueryLog) EDNSShare(suffix string) float64 {
 // names under suffix. The SMTP experiment (Table I) is built on this.
 func (l *QueryLog) CountByType(suffix string) map[dnswire.Type]int {
 	out := make(map[dnswire.Type]int)
-	l.forEach(func(e *LogEntry) {
-		if suffix != "" && !dnswire.IsSubdomain(e.Q.Name, suffix) {
-			return
-		}
-		out[e.Q.Type]++
-	})
+	l.walk(suffix, 0, func(e *LogEntry) { out[e.Q.Type]++ })
 	return out
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"net/netip"
 
+	"dnscde/internal/authns"
 	"dnscde/internal/dnswire"
 )
 
@@ -100,13 +102,23 @@ func DiscoverEgressAdaptive(ctx context.Context, p Prober, in *Infra, window, ma
 		return EgressResult{}, err
 	}
 	var result EgressResult
-	seen := make(map[string]struct{}) // egress IPs as strings for set keys
+	// seen marks each egress address with the logs it reached (bit 0 the
+	// parent, bit 1 the child); ips keeps each log's first-seen order.
+	// Each read takes only the session's arrivals since the last one.
+	seen := make(map[netip.Addr]uint8)
+	logs := [2]*authns.QueryLog{in.Parent.Log(), in.Child.Log()}
+	var ips [2][]netip.Addr
+	var cursors [2]int
 	count := func() int {
-		for _, src := range in.Parent.Log().DistinctSources(session.ChildOrigin) {
-			seen[src.String()] = struct{}{}
-		}
-		for _, src := range in.Child.Log().DistinctSources(session.ChildOrigin) {
-			seen[src.String()] = struct{}{}
+		for i, log := range logs {
+			entries, next := log.EntriesSince(session.ChildOrigin, cursors[i])
+			cursors[i] = next
+			for _, e := range entries {
+				if bit := uint8(1) << i; seen[e.Src]&bit == 0 {
+					seen[e.Src] |= bit
+					ips[i] = append(ips[i], e.Src)
+				}
+			}
 		}
 		return len(seen)
 	}
@@ -129,18 +141,11 @@ func DiscoverEgressAdaptive(ctx context.Context, p Prober, in *Infra, window, ma
 	if failures == result.ProbesSent {
 		return result, ErrAllProbesFailed
 	}
-	for _, src := range in.Parent.Log().DistinctSources(session.ChildOrigin) {
-		result.IPs = append(result.IPs, src)
-	}
-	for _, src := range in.Child.Log().DistinctSources(session.ChildOrigin) {
-		dup := false
-		for _, have := range result.IPs {
-			if have == src {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+	count() // anything logged after the last probe's read
+	// Parent sources first, then those only the child saw.
+	result.IPs = ips[0]
+	for _, src := range ips[1] {
+		if seen[src]&1 == 0 {
 			result.IPs = append(result.IPs, src)
 		}
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"net/netip"
+	"slices"
 	"testing"
 
 	"dnscde/internal/loadbal"
@@ -72,12 +74,24 @@ func TestDiscoverEgressAdaptive(t *testing.T) {
 	w := newTestWorld(t)
 	for _, egress := range []int{1, 5, 12} {
 		plat := w.newPlatform(t, platformOpts{caches: 2, egress: egress, selector: loadbal.NewRandom(4)})
+		parentMark, childMark := w.infra.Parent.Log().Len(), w.infra.Child.Log().Len()
 		res, err := DiscoverEgressAdaptive(context.Background(), w.directProber(plat), w.infra, 24, 2048)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.IPs) != egress {
 			t.Errorf("egress=%d: discovered %d (probes=%d)", egress, len(res.IPs), res.ProbesSent)
+		}
+		// The parent's sources in first-seen order, then those only the
+		// child saw.
+		var want []netip.Addr
+		for _, e := range append(w.infra.Parent.Log().Entries()[parentMark:], w.infra.Child.Log().Entries()[childMark:]...) {
+			if !slices.Contains(want, e.Src) {
+				want = append(want, e.Src)
+			}
+		}
+		if !slices.Equal(res.IPs, want) {
+			t.Errorf("egress=%d: IPs = %v, want %v", egress, res.IPs, want)
 		}
 	}
 }

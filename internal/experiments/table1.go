@@ -42,11 +42,10 @@ func TableI(ctx context.Context, cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		markBefore := w.Infra.Parent.Log().Len()
 		if err := smtpsim.SendProbe(ctx, srv, session.Honey); err != nil {
 			return nil, fmt.Errorf("probing %s: %w", spec.Name, err)
 		}
-		for category := range classifyQueries(w, session.Honey, markBefore) {
+		for category := range classifyQueries(w, session.Honey) {
 			counts[category]++
 		}
 	}
@@ -84,12 +83,14 @@ func TableI(ctx context.Context, cfg Config) (*Report, error) {
 	return report, nil
 }
 
-// classifyQueries scans log entries after mark for queries related to the
-// probe sender domain and returns the Table I categories they belong to.
-func classifyQueries(w *simtest.World, senderDomain string, mark int) map[string]bool {
+// classifyQueries reads the log entries at or under the fresh probe sender
+// domain (every Table I category lives there) and returns the categories
+// they belong to.
+func classifyQueries(w *simtest.World, senderDomain string) map[string]bool {
 	senderDomain = dnswire.CanonicalName(senderDomain)
 	out := make(map[string]bool)
-	for _, e := range w.Infra.Parent.Log().Entries()[mark:] {
+	entries, _ := w.Infra.Parent.Log().EntriesSince(senderDomain, 0)
+	for _, e := range entries {
 		name := e.Q.Name
 		switch {
 		case name == senderDomain && e.Q.Type == dnswire.TypeTXT:
